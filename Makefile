@@ -1,7 +1,7 @@
 # Developer entry points. Everything runs against the in-tree sources.
 export PYTHONPATH := src
 
-.PHONY: test fast stress bench bench-directory bench-fastpath bench-recovery bench-gang obs-smoke obs-svg shard-smoke recovery-smoke gang-smoke
+.PHONY: test fast stress bench bench-directory bench-fastpath bench-recovery bench-gang bench-quick bench-e2e obs-smoke obs-svg shard-smoke recovery-smoke gang-smoke
 
 test:   ## tier-1 verify: the full suite (virtual time keeps it quick)
 	python -m pytest -x -q
@@ -26,6 +26,12 @@ bench-recovery: ## time-to-recover vs checkpoint interval; writes BENCH_recovery
 
 bench-gang: ## concurrent gang-migration geometry; the gang section of BENCH_fastpath.json
 	python -m pytest benchmarks/test_ablation_fastpath.py -k gang_migration --benchmark-only -q -s
+
+bench-quick: ## wall-clock benchmark smoke (<= 20 s): every metric BENCHMARK.json declares must be emitted
+	python3 bench/run.py --quick
+
+bench-e2e: ## the wall-clock end-to-end metrics as the driver runs them (~55 s; see bench/README.md)
+	python3 bench/run.py --workload homogeneous --seed 1 --seconds 40 --trace 0
 
 obs-smoke: ## real mp migration with event collection on; validates the JSONL artifact and its space-time SVG
 	REPRO_OBS_SMOKE=1 python -m pytest tests/integration/test_obs_mp.py -q

@@ -294,14 +294,21 @@ def scheduler_main(ctx: ProcessContext, state: SchedulerState) -> None:
                            old_vmid=rec.old_vmid))
 
         elif isinstance(msg, MigrationCommit):
-            try:
-                rec = state.current_record(msg.rank)
+            # Idempotent per (rank, sender): the committing process is
+            # the initialized process of exactly one window. Matching on
+            # the rank alone would let a duplicate, arriving after a
+            # queued same-rank window opened, commit and close *that*
+            # window — its MigrationStart would never be answered.
+            rec = next((r for r in reversed(state.migrations)
+                        if r.rank == msg.rank
+                        and r.new_vmid == item.src_vmid), None)
+            if rec is not None and not rec.completed and not rec.aborted:
                 rec.t_committed = ctx.kernel.now
                 vm.trace_record(ctx.name, "migration_committed",
                                 rank=msg.rank)
                 _dispatch_admitted(ctx, state,
                                    state.admission.complete(msg.rank))
-            except LookupError:
+            else:
                 vm.trace_record(ctx.name, "scheduler_dup_reack",
                                 msg="MigrationCommit", rank=msg.rank)
             if msg.ack:

@@ -64,6 +64,7 @@ from repro.core.adaptive import (
 )
 from repro.core.checkpointing import CheckpointStore
 from repro.core.gang import ADMIT, GangAdmission
+from repro.core.grants import GrantLedger
 from repro.core.streaming import DEFAULT_CHUNK_BYTES, ChunkSource
 from repro.directory.chordring import ChordRing
 from repro.directory.hashring import HashRing
@@ -97,8 +98,18 @@ _CKPT_KEY = "__repro_ckpt__"
 
 _BACKLOG = 16
 _CONNECT_TIMEOUT = 10.0
+#: how long either side of a peer connection waits for the other's half
+#: of the hello / hello_ack handshake
+_HANDSHAKE_TIMEOUT = 2.0
 
 log = logging.getLogger("repro.mp")
+
+
+def _nodelay(sock: socket.socket) -> None:
+    """Registry control connections carry one-way frames (``migrate``,
+    ``hb``, ``obs``) behind request/reply pairs; with Nagle on, such a
+    frame waits for the delayed ACK of the reply before it (~40 ms)."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def _configure_logging() -> None:
@@ -299,6 +310,10 @@ class _Registry:
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.addr = self.listener.getsockname()
         self._lock = threading.Lock()
+        #: notified (under ``_lock``) on every transition a launcher
+        #: thread may be waiting for: an initialized process registered,
+        #: a window committed, a rank terminated, an admission slot freed
+        self._changed = threading.Condition(self._lock)
         self.locations: dict[int, tuple] = {}
         self.status: dict[int, str] = {}
         self.init_addr: dict[int, tuple] = {}
@@ -321,6 +336,7 @@ class _Registry:
                 conn, _ = self.listener.accept()
             except OSError:
                 return
+            _nodelay(conn)
             t = threading.Thread(target=self._serve, args=(conn,),
                                  daemon=True)
             t.start()
@@ -348,6 +364,7 @@ class _Registry:
                     with self._lock:
                         self.init_addr[rank] = tuple(addr)
                         self._dir_write(rank)
+                        self._changed.notify_all()
                     send_frame(conn, ("registered", time.time()))
                 elif kind == "lookup":
                     _, target = frame
@@ -393,6 +410,7 @@ class _Registry:
                             self.migration_windows.append(window)
                         else:
                             window = None
+                        self._changed.notify_all()
                     if window is not None and self.collector is not None:
                         tctx = ({"trace_id": trace} if trace is not None
                                 else {})
@@ -429,6 +447,7 @@ class _Registry:
                     with self._lock:
                         self.status[rank] = "terminated"
                         self._dir_write(rank)
+                        self._changed.notify_all()
                     cb = self.on_rank_terminated
                     if cb is not None:
                         cb(rank)
@@ -451,6 +470,20 @@ class _Registry:
                                      self.status.get(rank, "starting"),
                                      self.locations.get(rank),
                                      self.init_addr.get(rank))
+
+    def wait_for(self, predicate: Callable[[], bool],
+                 timeout: float) -> bool:
+        """Block until *predicate* (evaluated with the registry lock
+        held) is true; False when *timeout* — a liveness bound, never
+        what ends a healthy wait — expires first."""
+        with self._changed:
+            return self._changed.wait_for(predicate, timeout)
+
+    def notify_changed(self) -> None:
+        """Wake :meth:`wait_for` callers after a change made outside
+        the registry (an admission slot freed)."""
+        with self._changed:
+            self._changed.notify_all()
 
     def signal_migrate(self, rank: int, arch_name: str,
                        trace_id: str | None = None) -> None:
@@ -501,19 +534,21 @@ class _Registry:
         self.done.set()  # unblock join(); it raises on permanent failures
 
     def close(self) -> None:
-        try:
-            self.listener.close()
-        except OSError:
-            pass
         # closing the ctl sockets releases workers parked for replay
         # (recovery runs outlive their results; see _park_until_teardown)
         with self._lock:
-            conns = list(self.worker_ctl.values())
-        for conn in conns:
+            socks = [self.listener, *self.worker_ctl.values()]
+        for sock in socks:
             try:
-                conn.close()
+                # wake the thread blocked in accept()/recv() on it: after
+                # a bare close() a signal-restarted syscall would act on
+                # whichever socket reuses the fd number — a later
+                # cluster's listener, whose workers this dead registry
+                # would then register
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            sock.close()
         if self.daemon_host is not None:
             self.daemon_host.close()
 
@@ -551,20 +586,26 @@ class _PeerLink:
                  stats: FrameStats | None = None):
         self.sock = sock
         self.rank = rank
+        self.inbox = inbox
         self.open = True
         self.fastpath = fastpath
         self.stats = stats
+        #: the acceptor's GrantLedger token, settled when this link's
+        #: ``new_link`` is dispatched (None on dialed/transfer links)
+        self.grant: int | None = None
         #: the peer's receive cursor for us, as advertised in its hello
         #: (recovery runs only): everything past it replays on adoption
         self.replay_from: int | None = None
         self._batcher = (FrameBatcher(sock, stats=stats)
                          if fastpath else None)
         self._wlock = threading.Lock()
-        self._reader = threading.Thread(
-            target=self._read_loop, args=(inbox,), daemon=True)
-        self._reader.start()
 
-    def _read_loop(self, inbox: queue.Queue) -> None:
+    def start(self) -> None:
+        """Start the reader thread feeding the inbox."""
+        threading.Thread(target=self._read_loop, daemon=True).start()
+
+    def _read_loop(self) -> None:
+        inbox = self.inbox
         try:
             if self.fastpath:
                 reader = FrameReader(self.sock, stats=self.stats)
@@ -690,7 +731,12 @@ class _Worker:
         self.recvlist: list[_StoredMessage] = []
         self.pl: dict[int, tuple] = {}
         self.migrate_requested: str | None = None
-        self.migrating = False
+        #: grant-or-reject and its count (accept thread), the freeze
+        #: (_migrate) and every settle (_dispatch) take this one lock, so
+        #: a connection is either counted before the drain snapshots the
+        #: ledger or refused — see repro.core.grants
+        self.grants = GrantLedger()
+        self._grant_lock = threading.Lock()
         #: serializes ctl-socket writes: the protocol thread (RPCs, obs
         #: batches, results) and the heartbeat thread share the socket
         self._ctl_wlock = threading.Lock()
@@ -761,6 +807,7 @@ class _Worker:
         self.ctl = socket.create_connection(registry_addr,
                                             timeout=_CONNECT_TIMEOUT)
         self.ctl.settimeout(None)
+        _nodelay(self.ctl)
         self._ctl_replies: queue.Queue = queue.Queue()
         kind = "register_init" if initializing else "register"
         t_reg = time.time()
@@ -848,6 +895,7 @@ class _Worker:
         self.obs.flush(final=True)
 
     def _make_link(self, sock: socket.socket, peer_rank: int) -> _PeerLink:
+        """A link whose reader is not running yet: see ``start()``."""
         stats = FrameStats() if self.obs is not None else None
         if stats is not None:
             self._link_stats.append(stats)
@@ -868,17 +916,24 @@ class _Worker:
             except OSError:
                 return  # listener closed (migration)
             try:
+                # a peer that connects and never speaks must not park
+                # this thread
+                conn.settimeout(_HANDSHAKE_TIMEOUT)
                 hello = recv_frame(conn)
+                conn.settimeout(None)
             except (FrameClosed, OSError):
+                conn.close()
                 continue
             if hello[0] == "hello":
                 # the application-level conn_ack of Fig. 3: TCP connect
                 # success alone is NOT establishment (a connect can land in
                 # the backlog of a migrating process's dying listener)
-                if self.migrating:
+                peer_rank = hello[1]
+                with self._grant_lock:
+                    grant = self.grants.grant(peer_rank)
+                if grant is None:
                     conn.close()  # reject: requester will consult registry
                     continue
-                peer_rank = hello[1]
                 # recovery handshake: a cursor-bearing hello carries the
                 # peer's receive cursor for us; the ack answers with
                 # ours (None when recovery is off). The cursor read
@@ -898,11 +953,20 @@ class _Worker:
                 try:
                     send_frame(conn, ack)
                 except OSError:
+                    # the dialer never saw the ack, so it sends nothing
+                    # on this connection: the grant settles as void
+                    self.inbox.put(("grant_void", peer_rank, grant))
+                    conn.close()
                     continue
                 link = self._make_link(conn, peer_rank)
+                link.grant = grant
                 if len(hello) >= 3:
                     link.replay_from = hello[2]
+                # announced before its reader starts: no frame of this
+                # link reaches the protocol thread ahead of the link, so
+                # a settled grant is always a coordinated connection
                 self.inbox.put(("new_link", peer_rank, link))
+                link.start()
             elif hello[0] == "replay_req":
                 # a restored peer asking us to reconnect and replay our
                 # retained outbox to it (one-shot; the connection itself
@@ -915,7 +979,7 @@ class _Worker:
                 # the migrating process's transfer connection; its frames
                 # (recvlist, state/state_chunk) flow into the inbox like
                 # peer frames
-                self._make_link(conn, hello[1])
+                self._make_link(conn, hello[1]).start()
             else:
                 conn.close()
 
@@ -986,13 +1050,14 @@ class _Worker:
                     # closed or the accept loop is gone), so the connect
                     # attempt fails here instead of losing messages into a
                     # half-dead backlog connection
-                    sock.settimeout(2.0)
+                    sock.settimeout(_HANDSHAKE_TIMEOUT)
                     ack = recv_frame(sock)
                     t_ack = time.time()
                     if ack[0] != "hello_ack":
                         raise OSError(f"bad handshake {ack!r}")
                     sock.settimeout(None)
                     link = self._make_link(sock, dest)
+                    link.start()
                     self.links[dest] = link
                     if len(ack) >= 3 and ack[2] is not None:
                         link.replay_from = ack[2]
@@ -1173,6 +1238,8 @@ class _Worker:
     def _dispatch(self, item: tuple, drain_waiting: set | None = None) -> None:
         kind, peer, payload = item
         if kind == "new_link":
+            with self._grant_lock:
+                self.grants.adopt(payload.grant)
             old = self.links.get(peer)
             self.links[peer] = payload
             if old is not None and old.open:
@@ -1183,6 +1250,9 @@ class _Worker:
                 drain_waiting.add(peer)
             else:
                 self._replay_outbox(peer, payload)
+        elif kind == "grant_void":
+            with self._grant_lock:
+                self.grants.void(payload)
         elif kind == "replay_nudge":
             # a restored peer cannot be dialed into (replay is
             # sender-driven); it asks us to re-establish instead. Only
@@ -1423,12 +1493,25 @@ class _Worker:
         return ({"trace_id": tid} if parent is None
                 else {"trace_id": tid, "parent": parent})
 
+    def _drain_stuck(self, waiting: set) -> RuntimeError:
+        """What a drain that hit its liveness bound was waiting for."""
+        g = self.grants
+        return RuntimeError(
+            f"rank {self.rank}: drain stuck for {_CONNECT_TIMEOUT:.0f}s: "
+            f"waiting={sorted(waiting)} (peers whose last message never "
+            f"came), grants granted={g.granted} settled={g.settled} "
+            f"(unsettled toward ranks {sorted(g.open.values())})")
+
     def _migrate(self, state: dict) -> None:
         obs = self.obs
         tid = self.trace_id
         freeze = self._span("freeze", **self._tctx())
-        self.migrating = True  # accept loop stops acking from here on
+        with self._grant_lock:
+            # the accept loop rejects from here on; every connection it
+            # granted before is in the ledger and settled by the drain
+            self.grants.freeze()
         log.debug("rank %d: migrate() starting", self.rank)
+        # (_rpc's reply wait is a liveness bound, never a safety mechanism)
         _, new_addr = self._rpc(("migration_start", self.rank),
                                 "new_process")
         if freeze is not None:
@@ -1448,22 +1531,15 @@ class _Worker:
                 waiting.add(rank)
         npeers = len(waiting)
         log.debug("rank %d: draining, waiting=%s", self.rank, waiting)
-        while waiting:
-            self._dispatch(self.inbox.get(timeout=_CONNECT_TIMEOUT),
-                           drain_waiting=waiting)
-        # Quiescence sweep: a connection acked just before the migration
-        # flag went up may still deliver its hello and first data; give
-        # such in-flight establishments a grace window, coordinating any
-        # that appear (the analogue of the simulator's pending-grant
-        # accounting, where grants are tracked exactly).
-        deadline = time.time() + 0.25
-        while time.time() < deadline or waiting:
+        # Fig. 5 line 6 with the simulator's exact accounting: a granted
+        # link still on its way in from the accept thread is coordinated
+        # (and its last message waited for) when its new_link lands
+        while waiting or not self.grants.drained:
             try:
-                item = self.inbox.get(timeout=0.05)
+                # liveness bound, never a safety mechanism
+                item = self.inbox.get(timeout=_CONNECT_TIMEOUT)
             except queue.Empty:
-                if not waiting:
-                    break
-                continue
+                raise self._drain_stuck(waiting) from None
             self._dispatch(item, drain_waiting=waiting)
         if drain is not None:
             drain.close(peers=npeers)
@@ -1499,6 +1575,7 @@ class _Worker:
             # new incarnation must keep the cursors or peers' replays
             # would double-deliver past a reset receive counter
             state = {**state, _COMM_KEY: self._comm_epoch()}
+        # liveness bound, never a safety mechanism
         xfer = socket.create_connection(tuple(new_addr),
                                         timeout=_CONNECT_TIMEOUT)
         nchunks = 0
@@ -1885,6 +1962,14 @@ class MPCluster:
                                          metrics=metrics).start()
         return self
 
+    def _migratable(self, rank: int) -> bool:
+        """*rank* runs and no window of it is open (registry lock
+        held): its current incarnation holds the control connection
+        the migrate signal goes down."""
+        reg = self.registry
+        return (reg.status.get(rank) == "running"
+                and rank not in reg.init_addr)
+
     def migrate(self, rank: int) -> None:
         """Move *rank* into a brand-new OS process.
 
@@ -1895,18 +1980,16 @@ class MPCluster:
         free window. Use :meth:`migrate_many` to open overlapping
         windows without blocking on admission.
         """
-        deadline = time.time() + _CONNECT_TIMEOUT
-        while time.time() < deadline:
-            with self.registry._lock:
-                ready = (self.registry.status.get(rank) == "running"
-                         and rank not in self.registry.init_addr)
-            if ready:
-                with self._adm_lock:
-                    if self.admission.admissible(rank):
-                        self.admission.request(rank, None)
-                        break
-            time.sleep(0.01)
-        else:
+        def admitted() -> bool:
+            if not self._migratable(rank):
+                return False
+            with self._adm_lock:
+                if not self.admission.admissible(rank):
+                    return False
+                self.admission.request(rank, None)
+                return True
+
+        if not self.registry.wait_for(admitted, _CONNECT_TIMEOUT):
             raise RuntimeError(f"rank {rank} is not in a migratable state")
         try:
             self._launch_migration(rank)
@@ -1946,21 +2029,18 @@ class MPCluster:
         no initialized process awaiting its transfer, and every rank
         either ``running`` or already ``terminated``.
         """
-        deadline = time.time() + timeout
-        while time.time() < deadline:
+        reg = self.registry
+
+        def settled() -> bool:
             with self._adm_lock:
-                quiet = (not self.admission.inflight
-                         and not self.admission.pending)
-            if quiet:
-                with self.registry._lock:
-                    settled = (not self.registry.init_addr
-                               and all(st in ("running", "terminated")
-                                       for st in
-                                       self.registry.status.values()))
-                if settled:
-                    return
-            time.sleep(0.01)
-        raise TimeoutError("gang migrations did not settle in time")
+                if self.admission.inflight or self.admission.pending:
+                    return False
+            return (not reg.init_addr
+                    and all(st in ("running", "terminated")
+                            for st in reg.status.values()))
+
+        if not reg.wait_for(settled, timeout):
+            raise TimeoutError("gang migrations did not settle in time")
 
     def _launch_admitted(self, rank: int) -> None:
         """Open an admitted window; on launch failure close it so the
@@ -1991,6 +2071,7 @@ class MPCluster:
         request that became admissible, each on its own thread."""
         with self._adm_lock:
             admitted = self.admission.complete(rank)
+        self.registry.notify_changed()
         for r, _dest in admitted:
             threading.Thread(target=self._launch_admitted, args=(r,),
                              daemon=True).start()
@@ -2000,6 +2081,7 @@ class MPCluster:
         and dispatch whatever that unblocks."""
         with self._adm_lock:
             admitted = self.admission.cancel(rank)
+        self.registry.notify_changed()
         for r, _dest in admitted:
             threading.Thread(target=self._launch_admitted, args=(r,),
                              daemon=True).start()
@@ -2009,15 +2091,9 @@ class MPCluster:
         spawn the initialized process, wait for it to register, signal
         the source. The window stays open until the registry observes
         ``restore_complete`` and fires :meth:`_close_window`."""
-        deadline = time.time() + _CONNECT_TIMEOUT
-        while time.time() < deadline:
-            with self.registry._lock:
-                ready = (self.registry.status.get(rank) == "running"
-                         and rank not in self.registry.init_addr)
-            if ready:
-                break
-            time.sleep(0.01)
-        else:
+        reg = self.registry
+        if not reg.wait_for(lambda: self._migratable(rank),
+                            _CONNECT_TIMEOUT):
             raise RuntimeError(f"rank {rank} is not in a migratable state")
         inc = self._incarnation.get(rank, 0) + 1
         self._incarnation[rank] = inc
@@ -2042,13 +2118,8 @@ class MPCluster:
         self._procs.append(p)
         self._track(rank, p, "init")
         # wait for the initialized process to register, then signal
-        deadline = time.time() + _CONNECT_TIMEOUT
-        while time.time() < deadline:
-            with self.registry._lock:
-                if rank in self.registry.init_addr:
-                    break
-            time.sleep(0.01)
-        else:
+        if not reg.wait_for(lambda: rank in reg.init_addr,
+                            _CONNECT_TIMEOUT):
             raise RuntimeError("initialized process failed to register")
         self.registry.signal_migrate(rank, self.dest_arch.name, trace_id)
 

@@ -95,9 +95,13 @@ class ScriptedShard:
 
     def close(self) -> None:
         try:
-            self._listener.close()
+            # wake the accept thread: left blocked on a closed fd it can
+            # accept from whichever later listener reuses the fd number
+            # (it once registered the next test's mp worker)
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
 
 
 def refused_addr() -> tuple:

@@ -12,7 +12,7 @@ scheduler's committed record).
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import Application, FaultPlan, RetryPolicy, VirtualMachine
 from repro.analysis import check_invariants
@@ -113,6 +113,11 @@ def test_lookup_returns_committed_location_after_k_migrations(
                   st.integers(0, 6)),
         min_size=1, max_size=3),
 )
+# two same-instant requests for rank 2: the second queues, opens on the
+# first's commit, and a duplicated MigrationCommit used to close it (p2.m1:
+# "MigrationStart: no response after 12 attempt(s)")
+@example(backend="sharded", seed=65535, count=5,
+         migrations=[(0.0625, 0, 0), (0.0625, 2, 0), (0.0625, 2, 0)])
 def test_lookup_contract_survives_drop_dup_adversary(
         backend, seed, count, migrations):
     """Distributed backends under a >=5% drop + dup fault plan: the

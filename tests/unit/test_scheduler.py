@@ -33,7 +33,7 @@ def env(kernel):
     spawned = []
 
     def spawn_init(rank, host):
-        vmid = VmId(host, 99)
+        vmid = VmId(host, 99 + len(spawned))
         spawned.append((rank, host, vmid))
         return vmid
 
@@ -178,8 +178,9 @@ def test_concurrency_cap_queues_then_dispatches_on_commit(env):
                 VmId("user", 0), MigrateRequest(rank=rank, dest_host="h1")))
         ctx.compute(0.02)
         assert [r for r, _, _ in spawned] == [0]  # cap held rank 1 back
+        # the commit comes from the window's initialized process
         sched.mailbox.put(ControlEnvelope(
-            VmId("user", 0), MigrationCommit(rank=0)))
+            spawned[0][2], MigrationCommit(rank=0)))
         ctx.compute(0.02)
 
     vm.spawn("h0", _running_rank(pl, state, 0), name="t0", rank=0)
@@ -214,7 +215,7 @@ def test_queued_request_dropped_when_rank_stops_running(env):
         ctx.compute(0.02)
         state.status[1] = STATUS_TERMINATED  # dies while queued
         sched.mailbox.put(ControlEnvelope(
-            VmId("user", 0), MigrationCommit(rank=0)))
+            spawned[0][2], MigrationCommit(rank=0)))
         ctx.compute(0.02)
 
     vm.spawn("h0", _running_rank(pl, state, 0), name="t0", rank=0)
@@ -226,6 +227,42 @@ def test_queued_request_dropped_when_rank_stops_running(env):
                if e.kind == "migrate_request_ignored"]
     assert any(e.detail["rank"] == 1 for e in ignored)
     assert not state.admission.inflight and not state.admission.pending
+
+
+def test_duplicate_commit_does_not_close_queued_same_rank_window(env):
+    """Two same-instant requests for one rank: the second queues and
+    opens when the first commits. A duplicate of that commit (5 % dup
+    plan, or a retransmit whose ack was lost) belongs to the *first*
+    window's initialized process — it must not commit and close the
+    second window, whose MigrationStart would then go unanswered until
+    the retry budget ran out (the failure pinned by ``@example`` in
+    tests/property/test_directory_props.py)."""
+    vm, pl, state, sched, spawned = env
+
+    def probe(ctx):
+        ctx.compute(0.01)
+        for _ in range(2):
+            sched.mailbox.put(ControlEnvelope(
+                VmId("user", 0), MigrateRequest(rank=0, dest_host="h1")))
+        ctx.compute(0.02)
+        assert len(spawned) == 1  # second request queued behind the first
+        first = spawned[0][2]
+        sched.mailbox.put(ControlEnvelope(first, MigrationCommit(rank=0)))
+        ctx.compute(0.02)
+        assert len(spawned) == 2  # dequeued on commit
+        sched.mailbox.put(ControlEnvelope(first, MigrationCommit(rank=0)))
+        ctx.compute(0.02)
+
+    vm.spawn("h0", _running_rank(pl, state, 0), name="t0", rank=0)
+    vm.spawn("h1", probe, name="probe")
+    vm.run()
+    first, second = state.migrations
+    assert first.completed and not second.completed
+    assert state.current_record(0) is second
+    assert list(state.admission.inflight) == [0]
+    assert sum(e.kind == "migration_committed"
+               for e in vm.trace.events) == 1
+    assert any(e.kind == "scheduler_dup_reack" for e in vm.trace.events)
 
 
 def test_terminate_notice_marks_rank(env):
