@@ -18,7 +18,7 @@ bench:  ## regenerate the paper's tables/figures (print with -s)
 bench-directory: ## directory-backend ablation; writes BENCH_directory.json
 	python -m pytest benchmarks/test_ablation_directory.py --benchmark-only -q -s
 
-bench-fastpath: ## migration fast path A/B ablation; writes BENCH_fastpath.json
+bench-fastpath: ## transfer-path measurements (adaptive vs fixed chunks, gang geometry, obs overhead); writes BENCH_fastpath.json
 	python -m pytest benchmarks/test_ablation_fastpath.py --benchmark-only -q -s
 
 bench-recovery: ## time-to-recover vs checkpoint interval; writes BENCH_recovery.json

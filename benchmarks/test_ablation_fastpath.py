@@ -1,31 +1,26 @@
-"""ABL-6: the migration fast path, on vs. off (A/B at every layer).
+"""ABL-6: the migration transfer path — chunk sizing, gangs, obs cost.
 
-Three measurements, each run with ``fastpath=True`` and ``False``:
+Three measurements of the one state path (pipelined ``state_chunk``
+stream, encoder to socket):
 
-* **migration latency** (virtual time, deterministic): one 2-rank run
-  per state size from 1 KB to 64 MB; the pipelined chunked transfer
-  overlaps state collection, network and restore, so its
-  ``migration_start`` → ``migration_commit`` window shrinks toward the
-  slowest stage instead of paying the stages' sum (Fig. 5's sequential
-  flow is the baseline).
-* **codec throughput** (wall clock): encode/decode MB/s of the
-  vectorized codec vs. the reference scalar codec on ndarray-bearing
-  state — native byte order (the acceptance row, where copy elimination
-  dominates) and big-endian SPARC32 (informational: both modes must
-  byte-swap, so the gap narrows).
-* **frame round-trip rate** (wall clock): the ``sendmsg``/``recv_into``
-  framing vs. the copy-per-frame legacy wire path.
+* the **adaptive chunk controller** against the fixed 256 KiB default
+  (virtual time, deterministic): a fast-link arm where adaptive must
+  never lose, and a 10 Mbit/s slow-link arm where the fixed chunk
+  un-pipelines a small state and the AIMD floor wins outright;
+* **gang migration** geometry (virtual time, deterministic): k
+  overlapping windows against the solo window, the serialized
+  ``concurrency=1`` control and the shared-link bandwidth-budget arm;
+* the **observability layer's own cost**: the real multiprocess
+  migration window (registry-stamped ``migration_start`` →
+  ``restore_complete`` wall clock, identical instrumentation either way)
+  with event collection on vs. off — the acceptance bar is <= 3%
+  overhead on the 64 MiB window.
 
-A fourth A/B drives the **adaptive chunk controller** against the fixed
-256 KiB default (virtual time, deterministic): a fast-link arm where
-adaptive must never lose, and a 10 Mbit/s slow-link arm where the fixed
-chunk un-pipelines a small state and the AIMD floor wins outright.
-
-A fifth A/B measures the observability layer itself: the real
-multiprocess migration window (registry-stamped ``migration_start`` →
-``restore_complete`` wall clock, identical instrumentation either way)
-with event collection on vs. off — the obs acceptance bar is <= 3%
-overhead on the 64 MiB window.
+The sequential-vs-pipelined, scalar-vs-vectorized codec and framing A/B
+rows this file used to produce are recorded history in
+docs/performance.md; the code paths they compared against are gone.
+Wall-clock codec and framing throughput is measured, with repeats, by
+``bench/layers.py``.
 
 Persists everything to ``BENCH_fastpath.json`` at the repo root (the
 ``make bench-fastpath`` artifact). ``REPRO_FASTPATH_SMOKE=1`` shrinks
@@ -39,12 +34,9 @@ import os
 from pathlib import Path
 
 from repro.analysis.fastpath import (
-    codec_throughput,
-    frame_roundtrip,
     measure_gang_migration,
     measure_migration,
 )
-from repro.codec import NATIVE, SPARC32
 from repro.sim.network import ETHERNET_10M
 from repro.util.text import format_table
 
@@ -52,15 +44,6 @@ _BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_fastpath.json"
 
 SMOKE = bool(os.environ.get("REPRO_FASTPATH_SMOKE"))
 
-#: migration state sizes (1 KB – 64 MB; ISSUE acceptance point is 64 MB)
-MIGRATION_SIZES = ((1 << 10, 1 << 16, 1 << 20) if SMOKE else
-                   (1 << 10, 1 << 16, 1 << 20, 8 << 20, 64 << 20))
-#: codec acceptance size — large enough that the eliminated copies are
-#: real memory traffic, not cache-resident noise (smaller states bounce
-#: 1.3–1.9x run to run on shared hardware; 64 MiB is stable)
-CODEC_SIZES = ((1 << 18,) if SMOKE else (64 << 20,))
-#: wire frame payload sizes
-FRAME_SIZES = ((1 << 16,) if SMOKE else (1 << 12, 1 << 16, 1 << 20))
 #: state ballast for the obs-overhead mp migration (acceptance: 64 MiB)
 OBS_STATE_NBYTES = (1 << 20) if SMOKE else (64 << 20)
 
@@ -82,34 +65,16 @@ GANG_NBYTES = (1 << 20) if SMOKE else (8 << 20)
 GANG_K = 4
 GANG_ROUNDS = 600 if SMOKE else 1200
 
-_results: dict[str, list] = {"migration": [], "codec": [],
-                             "codec_hetero": [], "framing": [],
-                             "obs_overhead": [], "adaptive": [],
-                             "gang": []}
-
-
-def _migration_rows() -> list[dict]:
-    if not _results["migration"]:
-        for nbytes in MIGRATION_SIZES:
-            slow = measure_migration(nbytes, fastpath=False)
-            fast = measure_migration(nbytes, fastpath=True)
-            _results["migration"].append({
-                "nbytes": nbytes,
-                "latency_slow": slow["latency"],
-                "latency_fast": fast["latency"],
-                "reduction": 1 - fast["latency"] / slow["latency"],
-                "digest_match": slow["digest"] == fast["digest"],
-            })
-    return _results["migration"]
+_results: dict[str, list] = {"obs_overhead": [], "adaptive": [], "gang": []}
 
 
 def _adaptive_rows() -> list[dict]:
     """AIMD chunk sizing vs. the fixed 256 KiB default, per link arm."""
     if not _results["adaptive"]:
         for label, nbytes, link in ADAPTIVE_ARMS:
-            fixed = measure_migration(nbytes, fastpath=True, link=link)
-            adaptive = measure_migration(nbytes, fastpath=True,
-                                         chunk_bytes="adaptive", link=link)
+            fixed = measure_migration(nbytes, link=link)
+            adaptive = measure_migration(nbytes, chunk_bytes="adaptive",
+                                         link=link)
             _results["adaptive"].append({
                 "arm": label,
                 "nbytes": nbytes,
@@ -143,76 +108,6 @@ def _gang_rows() -> list[dict]:
             row["max_latency"] = max(row["latencies"].values())
             _results["gang"].append(row)
     return _results["gang"]
-
-
-def _codec_ab(nbytes: int, arch) -> dict:
-    slow = codec_throughput(nbytes, fastpath=False, arch=arch)
-    fast = codec_throughput(nbytes, fastpath=True, arch=arch)
-    return {
-        "nbytes": nbytes,
-        "arch": arch.name,
-        "encoded_nbytes": fast["encoded_nbytes"],
-        "encode_mb_s_slow": slow["encode_mb_s"],
-        "encode_mb_s_fast": fast["encode_mb_s"],
-        "decode_mb_s_slow": slow["decode_mb_s"],
-        "decode_mb_s_fast": fast["decode_mb_s"],
-        "encode_speedup": fast["encode_mb_s"] / slow["encode_mb_s"],
-        "decode_speedup": fast["decode_mb_s"] / slow["decode_mb_s"],
-        "digest_match": slow["digest"] == fast["digest"],
-    }
-
-
-def _codec_rows() -> list[dict]:
-    """Same-order (native) codec A/B — the acceptance measurement.
-
-    Wall-clock ratios wobble on shared hardware, and contention only
-    ever deflates them (each mode is already best-of-N internally), so
-    the honest estimator is the best of a few A/B attempts: keep the
-    attempt with the highest worst-direction speedup, stopping early
-    once it clears the acceptance bar.
-    """
-    target = 1.0 if SMOKE else 2.0
-    if not _results["codec"]:
-        for n in CODEC_SIZES:
-            best = None
-            for _ in range(3):
-                row = _codec_ab(n, NATIVE)
-                floor = min(row["encode_speedup"], row["decode_speedup"])
-                if best is None or floor > min(best["encode_speedup"],
-                                               best["decode_speedup"]):
-                    best = row
-                if floor >= target:
-                    break
-            _results["codec"].append(best)
-    return _results["codec"]
-
-
-def _codec_hetero_rows() -> list[dict]:
-    """Cross-endian codec A/B (big-endian SPARC32 target), informational.
-
-    Both modes must byte-swap every word here, so the fast path's copy
-    elimination buys proportionally less than in the native case — the
-    speedup is real but smaller and noisier, and no 2x bar applies.
-    """
-    if not _results["codec_hetero"]:
-        _results["codec_hetero"] = [_codec_ab(n, SPARC32)
-                                    for n in CODEC_SIZES]
-    return _results["codec_hetero"]
-
-
-def _framing_rows() -> list[dict]:
-    if not _results["framing"]:
-        for nbytes in FRAME_SIZES:
-            nframes = 60 if nbytes >= (1 << 20) else 300
-            slow = frame_roundtrip(nbytes, fastpath=False, nframes=nframes)
-            fast = frame_roundtrip(nbytes, fastpath=True, nframes=nframes)
-            _results["framing"].append({
-                "payload_nbytes": nbytes,
-                "frames_s_slow": slow["frames_s"],
-                "frames_s_fast": fast["frames_s"],
-                "speedup": fast["frames_s"] / slow["frames_s"],
-            })
-    return _results["framing"]
 
 
 def _obs_ab_program(api, state):
@@ -271,8 +166,7 @@ def _obs_overhead_rows() -> list[dict]:
 
     Real OS processes, so each arm is best-of-N (noise only ever
     inflates a window) and the A/B retries until it either clears the
-    3% bar or exhausts the attempts — same honest-estimator shape as
-    the codec rows.
+    3% bar or exhausts the attempts.
     """
     if not _results["obs_overhead"]:
         nbytes = OBS_STATE_NBYTES
@@ -293,113 +187,28 @@ def _obs_overhead_rows() -> list[dict]:
 
 
 def _persist() -> None:
-    mig, codec, hetero, framing, obs, adaptive, gang = (
-        _results["migration"], _results["codec"],
-        _results["codec_hetero"], _results["framing"],
-        _results["obs_overhead"], _results["adaptive"],
-        _results["gang"])
-    top = max(mig, key=lambda r: r["nbytes"])
+    obs, adaptive, gang = (_results["obs_overhead"], _results["adaptive"],
+                           _results["gang"])
+    by_arm = {r["arm"]: r for r in gang}
     summary = {
-        "migration_reduction_at_largest": top["reduction"],
-        "largest_migration_nbytes": top["nbytes"],
-        "min_codec_encode_speedup": min(r["encode_speedup"] for r in codec),
-        "min_codec_decode_speedup": min(r["decode_speedup"] for r in codec),
-        "all_digests_match": all(r["digest_match"]
-                                 for r in mig + codec + hetero + adaptive),
+        "all_digests_match": all(r["digest_match"] for r in adaptive),
+        "adaptive_improvement_by_arm": {
+            r["arm"]: r["improvement"] for r in adaptive},
+        "obs_overhead_at_largest": obs[0]["overhead"],
+        "obs_window_nbytes": obs[0]["nbytes"],
+        "gang_span_over_solo_window": (
+            by_arm["overlap"]["gang_span"] / by_arm["solo"]["max_latency"]),
+        "gang_digests_match": len({r["digest"] for r in gang}) == 1,
     }
-    if adaptive:
-        summary["adaptive_improvement_by_arm"] = {
-            r["arm"]: r["improvement"] for r in adaptive}
-    if obs:
-        summary["obs_overhead_at_largest"] = obs[0]["overhead"]
-        summary["obs_window_nbytes"] = obs[0]["nbytes"]
-    if gang:
-        by_arm = {r["arm"]: r for r in gang}
-        summary["gang_span_over_solo_window"] = (
-            by_arm["overlap"]["gang_span"] / by_arm["solo"]["max_latency"])
-        summary["gang_digests_match"] = \
-            len({r["digest"] for r in gang}) == 1
     _BENCH_PATH.write_text(json.dumps(
-        {"ablation": "migration-fastpath", "smoke": SMOKE,
+        {"ablation": "migration-transfer-path", "smoke": SMOKE,
          "workload": "2-rank ping-pong, rank 1 carries mixed-dtype "
-                     "ndarray state; codec A/B on the native target "
-                     "(acceptance) and big-endian SPARC32 "
-                     "(informational, both modes byte-swap bound); obs "
-                     "A/B on the real mp migration window",
-         "summary": summary, "migration": mig, "codec": codec,
-         "codec_heterogeneous": hetero, "framing": framing,
-         "obs_overhead": obs, "adaptive": adaptive, "gang": gang},
+                     "ndarray state (adaptive vs fixed chunks); k "
+                     "ping-pong pairs migrating at once (gang); obs A/B "
+                     "on the real mp migration window",
+         "summary": summary, "obs_overhead": obs, "adaptive": adaptive,
+         "gang": gang},
         indent=2) + "\n")
-
-
-def _print_codec_table(title: str, rows: list[dict]) -> None:
-    print(f"\nABL-6  {title}:")
-    print(format_table(
-        ("state", "arch", "enc MB/s ref", "enc MB/s fast", "dec MB/s ref",
-         "dec MB/s fast", "enc x", "dec x"),
-        [(f"{r['nbytes'] >> 20} MiB", r["arch"],
-          f"{r['encode_mb_s_slow']:.0f}", f"{r['encode_mb_s_fast']:.0f}",
-          f"{r['decode_mb_s_slow']:.0f}", f"{r['decode_mb_s_fast']:.0f}",
-          f"{r['encode_speedup']:.2f}", f"{r['decode_speedup']:.2f}")
-         for r in rows]))
-
-
-def test_abl6_codec_throughput(benchmark):
-    """Vectorized codec beats the reference scalar codec like-for-like."""
-    rows = benchmark.pedantic(_codec_rows, rounds=1, iterations=1)
-    _print_codec_table("codec throughput (wall clock, native target)", rows)
-    for r in rows:
-        assert r["digest_match"], "codec output drifted between modes"
-        assert r["encode_speedup"] >= 1.0 and r["decode_speedup"] >= 1.0
-        if not SMOKE:
-            # acceptance: >= 2x on >= 1 MB numpy-bearing states
-            assert r["encode_speedup"] >= 2.0, r
-            assert r["decode_speedup"] >= 2.0, r
-
-
-def test_abl6_codec_throughput_heterogeneous(benchmark):
-    """Cross-endian codec A/B: still faster, byte-swap bound both ways."""
-    rows = benchmark.pedantic(_codec_hetero_rows, rounds=1, iterations=1)
-    _print_codec_table(
-        "codec throughput (wall clock, big-endian SPARC32 target)", rows)
-    for r in rows:
-        assert r["digest_match"], "codec output drifted between modes"
-        assert r["encode_speedup"] >= 1.0 and r["decode_speedup"] >= 1.0
-
-
-def test_abl6_frame_roundtrip(benchmark):
-    """Zero-copy framing wins where copies dominate (large frames)."""
-    rows = benchmark.pedantic(_framing_rows, rounds=1, iterations=1)
-    print("\nABL-6  mp frame round-trip rate (wall clock):")
-    print(format_table(
-        ("payload", "legacy frames/s", "fast frames/s", "speedup"),
-        [(f"{r['payload_nbytes'] >> 10} KiB", f"{r['frames_s_slow']:.0f}",
-          f"{r['frames_s_fast']:.0f}", f"{r['speedup']:.2f}")
-         for r in rows]))
-    if not SMOKE:
-        big = max(rows, key=lambda r: r["payload_nbytes"])
-        assert big["speedup"] >= 1.0, big
-
-
-def test_abl6_migration_latency(benchmark):
-    """Pipelined transfer cuts the virtual-time migration window."""
-    rows = benchmark.pedantic(_migration_rows, rounds=1, iterations=1)
-    print("\nABL-6  migration latency (virtual time), fastpath off vs on:")
-    print(format_table(
-        ("state", "sequential(s)", "pipelined(s)", "reduction"),
-        [(f"{r['nbytes'] >> 10} KiB", f"{r['latency_slow']:.4f}",
-          f"{r['latency_fast']:.4f}", f"{r['reduction']:.1%}")
-         for r in rows]))
-    for r in rows:
-        # both modes restore byte-identical state, and virtual time is
-        # deterministic: the fast path must never be slower
-        assert r["digest_match"]
-        assert r["latency_fast"] <= r["latency_slow"]
-    top = max(rows, key=lambda r: r["nbytes"])
-    if not SMOKE:
-        assert top["nbytes"] == 64 << 20
-        assert top["reduction"] >= 0.25, \
-            f"only {top['reduction']:.1%} at 64 MB"
 
 
 def test_abl6_adaptive_chunks(benchmark):
@@ -476,11 +285,9 @@ def test_abl6_obs_overhead(benchmark):
 
 
 def test_abl6_persist_bench_json(benchmark):
-    """Write BENCH_fastpath.json from the full A/B sweep."""
+    """Write BENCH_fastpath.json from the full sweep."""
     benchmark.pedantic(
-        lambda: (_migration_rows(), _codec_rows(), _codec_hetero_rows(),
-                 _framing_rows(), _obs_overhead_rows(), _adaptive_rows(),
-                 _gang_rows()),
+        lambda: (_obs_overhead_rows(), _adaptive_rows(), _gang_rows()),
         rounds=1, iterations=1)
     _persist()
     data = json.loads(_BENCH_PATH.read_text())

@@ -1,12 +1,6 @@
 """Trace analysis: migration timing breakdowns and space-time diagrams."""
 
 from repro.analysis.directory import DirectoryLoadReport, directory_report
-from repro.analysis.fastpath import (
-    codec_throughput,
-    frame_roundtrip,
-    measure_migration,
-    migration_latency,
-)
 from repro.analysis.invariants import (
     InvariantReport,
     InvariantViolation,
@@ -50,15 +44,11 @@ __all__ = [
     "RunReport",
     "TrafficReport",
     "chunk_throughput",
-    "codec_throughput",
     "drain_stragglers",
     "dumps_trace",
     "events_from_trace",
-    "frame_roundtrip",
     "load_obs_events",
     "load_trace",
-    "measure_migration",
-    "migration_latency",
     "loads_trace",
     "phase_breakdown",
     "render_obs_report",

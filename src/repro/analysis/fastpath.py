@@ -1,40 +1,31 @@
-"""Fast-path A/B measurements: pipelined migration, codec, wire framing.
+"""Migration-window measurements in virtual time.
 
 The perf counterpart of :mod:`repro.analysis.metrics`: each helper runs
-(or reads) the same workload with the fast path on and off so the two
-modes can be compared like-for-like —
+(or reads) a seeded workload whose migrating rank carries an
+ndarray-bearing state of a chosen size —
 
 * :func:`migration_latency` — virtual-time ``migration_start`` →
   ``migration_commit`` window from a run's trace;
-* :func:`measure_migration` — one 2-rank A/B run with an ndarray-bearing
-  state of a chosen size, returning the latency and a digest of the
-  restored payload (byte-identical across modes by construction);
-* :func:`codec_throughput` — wall-clock encode/decode MB/s of the
-  vectorized codec vs. the reference scalar codec on heterogeneous
-  (byte-swapped) state;
-* :func:`frame_roundtrip` — wall-clock frame round-trip rate of the
-  ``sendmsg``/``recv_into`` framing vs. the copy-per-frame legacy path.
+* :func:`measure_migration` — one 2-rank run, returning the latency and
+  a digest of the restored payload, across chunk-size policies and link
+  speeds (the adaptive-vs-fixed sweep);
+* :func:`measure_gang_migration` — *k* ranks migrating at once: window
+  geometry, overlap and bandwidth-budget accounting.
 
-Virtual-time numbers are deterministic; wall-clock numbers (codec,
-framing) are hardware-dependent and reported as ratios.
+All numbers are deterministic. The wall-clock per-layer measurements
+(codec, framing) live in ``bench/layers.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import socket
-import threading
-import time
 
 import numpy as np
 
-from repro.codec import NATIVE, SPARC32, decode, encode
-
 __all__ = ["migration_latency", "measure_migration",
-           "measure_gang_migration", "codec_throughput",
-           "frame_roundtrip", "numpy_state"]
+           "measure_gang_migration", "numpy_state"]
 
-#: ping-pong rounds of the A/B migration workload
+#: ping-pong rounds of the single-migration workload
 _ROUNDS = 24
 
 
@@ -60,7 +51,7 @@ def migration_latency(vm, rank=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# A/B migration run (virtual time)
+# single migration run (virtual time)
 # ---------------------------------------------------------------------------
 
 def numpy_state(nbytes: int) -> dict:
@@ -97,7 +88,7 @@ def _ab_program(nbytes: int, digests: list):
 
     Rank 1 records a payload digest every time it (re)starts with a
     restored state — the destination incarnation's entry proves the
-    transferred bytes survived the chosen wire path unchanged.
+    transferred bytes survived the transfer unchanged.
     """
 
     def program(api, state):
@@ -121,14 +112,13 @@ def _ab_program(nbytes: int, digests: list):
     return program
 
 
-def measure_migration(nbytes: int, fastpath: bool,
-                      migrate_at: float = 4e-3,
+def measure_migration(nbytes: int, migrate_at: float = 4e-3,
                       chunk_bytes=None, link=None) -> dict:
     """Run one migration carrying *nbytes* of state; report its cost.
 
     Returns ``latency`` (virtual migration window), ``makespan`` and the
     restored payload's ``digest``. The same seed state is rebuilt for
-    both modes, so equal digests mean byte-identical decoded state.
+    every run, so equal digests mean byte-identical decoded state.
 
     ``chunk_bytes`` is forwarded to :class:`~repro.core.launch.
     Application` (fixed int, ``"adaptive"``, or a policy); ``link`` is an
@@ -145,7 +135,7 @@ def measure_migration(nbytes: int, fastpath: bool,
     digests: list = []
     app = Application(vm, _ab_program(nbytes, digests),
                       placement=["h0", "h1"], scheduler_host="sched",
-                      fastpath=fastpath, chunk_bytes=chunk_bytes)
+                      chunk_bytes=chunk_bytes)
     app.start()
     app.migrate_at(migrate_at, 1, "h2")
     app.run()
@@ -153,7 +143,6 @@ def measure_migration(nbytes: int, fastpath: bool,
         "payload changed across the migration"
     out = {
         "nbytes": nbytes,
-        "fastpath": fastpath,
         "latency": migration_latency(vm, rank=1),
         "makespan": vm.kernel.now,
         "digest": digests[-1],
@@ -308,102 +297,3 @@ def measure_gang_migration(nbytes: int, k: int,
             if ev.kind == "state_sent" and "chunk_bytes_last" in ev.detail}
     vm.shutdown()
     return out
-
-
-# ---------------------------------------------------------------------------
-# codec throughput (wall clock)
-# ---------------------------------------------------------------------------
-
-def codec_throughput(nbytes: int, fastpath: bool, arch=NATIVE,
-                     repeats: int = 5) -> dict:
-    """Best-of-*repeats* encode/decode throughput in MB/s.
-
-    *arch* defaults to the native target (the common same-order case,
-    where the codec cost is pure copying); pass big-endian
-    :data:`~repro.codec.SPARC32` to measure the heterogeneous byte-swap
-    path instead (the paper's Table 2 scenario). One untimed warmup pass
-    faults the pages in; each timed pass starts from a collected heap.
-    Returns the encoded blob's digest so A/B runs can assert
-    byte-identical output.
-    """
-    import gc
-
-    state = numpy_state(nbytes)
-    blob = encode(state, arch, fastpath=fastpath)  # warmup
-    best_enc = best_dec = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        blob = encode(state, arch, fastpath=fastpath)
-        best_enc = min(best_enc, time.perf_counter() - t0)
-    restored = decode(blob, fastpath=fastpath)  # warmup
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        restored = decode(blob, fastpath=fastpath)
-        best_dec = min(best_dec, time.perf_counter() - t0)
-    assert _digest(restored) == _digest(state)
-    mb = len(blob) / 1e6
-    return {
-        "nbytes": nbytes,
-        "fastpath": fastpath,
-        "arch": arch.name,
-        "encoded_nbytes": len(blob),
-        "encode_mb_s": mb / best_enc,
-        "decode_mb_s": mb / best_dec,
-        "digest": hashlib.sha256(blob).hexdigest(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# wire framing round-trip rate (wall clock)
-# ---------------------------------------------------------------------------
-
-def frame_roundtrip(payload_nbytes: int, fastpath: bool,
-                    nframes: int = 200) -> dict:
-    """Sequential frame round-trips over a socketpair, frames/s.
-
-    The echo side always mirrors the requester's mode, so the number
-    isolates the framing implementation, not a mixed pipeline.
-    """
-    from repro.runtime.framing import (
-        FrameReader,
-        recv_frame,
-        send_frame,
-        send_frame_fast,
-    )
-
-    a, b = socket.socketpair()
-    send = send_frame_fast if fastpath else send_frame
-
-    def echo() -> None:
-        try:
-            if fastpath:
-                reader = FrameReader(b)
-                while True:
-                    send_frame_fast(b, reader.read_frame())
-            while True:
-                send_frame(b, recv_frame(b))
-        except Exception:
-            return
-
-    t = threading.Thread(target=echo, daemon=True)
-    t.start()
-    payload = ("data", 1, 0, b"\xa5" * payload_nbytes)
-    reader = FrameReader(a) if fastpath else None
-    try:
-        t0 = time.perf_counter()
-        for _ in range(nframes):
-            send(a, payload)
-            got = reader.read_frame() if fastpath else recv_frame(a)
-            assert got == payload
-        elapsed = time.perf_counter() - t0
-    finally:
-        a.close()
-        b.close()
-    return {
-        "payload_nbytes": payload_nbytes,
-        "fastpath": fastpath,
-        "frames_s": nframes / elapsed,
-        "mb_s": nframes * payload_nbytes / elapsed / 1e6,
-    }

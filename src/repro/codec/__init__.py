@@ -14,7 +14,7 @@ from repro.codec.memgraph import (
     encoded_size,
     peek_arch,
 )
-from repro.codec.xdr import Reader, ReferenceReader, ReferenceWriter, Writer
+from repro.codec.xdr import Reader, Writer
 
 __all__ = [
     "ARM64",
@@ -22,8 +22,6 @@ __all__ = [
     "MIPS32",
     "NATIVE",
     "Reader",
-    "ReferenceReader",
-    "ReferenceWriter",
     "SPARC32",
     "Writer",
     "X86_64",

@@ -21,16 +21,12 @@ This is what the migration protocol ships as "execution and memory state":
 the application's declared state dict goes through :func:`encode` on the
 source host and :func:`decode` on the destination.
 
-Two implementations share the wire format byte-for-byte:
-
-* the default **fast path** appends array buffers and nested node bodies
-  as zero-copy parts (one final join, or none at all via
-  :func:`encode_parts`, which the chunked migration pipeline slices into
-  ``state_chunk`` frames) and decodes through ``memoryview`` slices with
-  one whole-buffer byte-order conversion per array;
-* ``fastpath=False`` routes through :class:`ReferenceWriter` /
-  :class:`ReferenceReader` — the original copy-per-field code, kept as
-  the A/B baseline for benchmarks and regression bisection.
+The encoder appends array buffers and nested node bodies as zero-copy
+parts (one final join, or none at all via :func:`encode_parts`, which
+the chunked migration pipeline slices into ``state_chunk`` frames); the
+decoder reads through ``memoryview`` slices with one whole-buffer
+byte-order conversion per array. The wire bytes are pinned by the golden
+fixtures and by the scalar oracle in ``tests/helpers/reference_codec.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from typing import Any
 import numpy as np
 
 from repro.codec.arch import NATIVE, Architecture
-from repro.codec.xdr import Reader, ReferenceReader, ReferenceWriter, Writer
+from repro.codec.xdr import Reader, Writer
 from repro.util.errors import CodecError
 
 __all__ = ["encode", "encode_parts", "decode", "encoded_size", "peek_arch"]
@@ -169,9 +165,8 @@ def _pack_int_run(vals: list, endian: str) -> bytes:
 
 
 class _Encoder:
-    def __init__(self, arch: Architecture, fast: bool = True):
+    def __init__(self, arch: Architecture):
         self.arch = arch
-        self.fast = fast
         self.ids: dict[int, int] = {}  # id(obj) -> node number
         self.nodes: list[Any] = []  # node number -> object
         # Hold references so ids stay valid during encoding even if the
@@ -252,14 +247,14 @@ class _Encoder:
     def write_items(self, w, items) -> None:
         """Write a value sequence, batching homogeneous scalar runs.
 
-        The fast path scans for runs of plain floats / plain ints
-        (``type`` checks, so bools and subclasses keep their own
-        encodings) and emits each long run as one vectorized matrix —
+        Scans for runs of plain floats / plain ints (``type`` checks, so
+        bools and subclasses keep their own encodings) and emits each
+        long run as one vectorized matrix —
         byte-identical to per-item dispatch. This is what makes ragged
         containers (lists of lists of numbers) cheap: every inner list
         body is mostly one or two such runs.
         """
-        if not self.fast or len(items) < _VEC_MIN_RUN:
+        if len(items) < _VEC_MIN_RUN:
             for item in items:
                 self.write_value(w, item)
             return
@@ -322,21 +317,11 @@ class _Encoder:
                     obj, dtype=obj.dtype.newbyteorder(self.arch.struct_order))
             else:
                 payload = np.ascontiguousarray(obj)
-            if self.fast:
-                # the whole node header (kind, dtype, shape, payload
-                # length) comes from the cache as one bytes object; the
-                # payload view splices in zero-copy — two appends total,
-                # no per-node Writer
-                w.put(_ndarray_header(obj.dtype, obj.shape,
-                                      payload.nbytes))
-                w.put_buffer(memoryview(payload).cast("B"))
-            else:
-                w.u8(_N_NDARRAY)
-                self._write_dtype(w, obj.dtype)
-                w.varint(obj.ndim)
-                for dim in obj.shape:
-                    w.varint(dim)
-                w.raw(payload.tobytes())
+            # the whole node header (kind, dtype, shape, payload length)
+            # comes from the cache as one bytes object; the payload view
+            # splices in zero-copy — two appends total
+            w.put(_ndarray_header(obj.dtype, obj.shape, payload.nbytes))
+            w.put_buffer(memoryview(payload).cast("B"))
         else:  # pragma: no cover - guarded by _NODE_TYPES
             raise CodecError(f"not a node type: {type(obj).__name__}")
 
@@ -350,8 +335,8 @@ def _canonical_set_order(items) -> list:
 
 
 def _encode_writer(obj: Any, arch: Architecture) -> Writer:
-    """Fast-path encode into a part-list Writer (no join performed)."""
-    enc = _Encoder(arch, fast=True)
+    """Encode into a part-list Writer (no join performed)."""
+    enc = _Encoder(arch)
     root = Writer(arch)
     enc.write_value(root, obj)
     # Node payloads: written in discovery order; new nodes may be appended
@@ -376,41 +361,13 @@ def _encode_writer(obj: Any, arch: Architecture) -> Writer:
     return head
 
 
-def _reference_encode(obj: Any, arch: Architecture) -> bytes:
-    """The original (seed) encode: join-per-node, copy-per-payload."""
-    enc = _Encoder(arch, fast=False)
-    root = ReferenceWriter(arch)
-    enc.write_value(root, obj)
-    bodies: list[bytes] = []
-    i = 0
-    while i < len(enc.nodes):
-        w = ReferenceWriter(arch)
-        enc.write_node(w, enc.nodes[i])
-        bodies.append(w.getvalue())
-        i += 1
-
-    head = ReferenceWriter(arch)
-    head.put(_MAGIC)
-    head.string(arch.name)
-    head.u8(0 if arch.endian == "little" else 1)
-    head.u8(arch.word_bits)
-    head.varint(len(bodies))
-    for body in bodies:
-        head.raw(body)
-    head.raw(root.getvalue())
-    return head.getvalue()
-
-
-def encode(obj: Any, arch: Architecture = NATIVE, *, fastpath: bool = True) -> bytes:
+def encode(obj: Any, arch: Architecture = NATIVE) -> bytes:
     """Encode *obj* into the machine-independent memory-graph format.
 
     The root value is written first; graph nodes are appended as they are
     discovered (node ids are allocated before descending into children, so
-    cycles terminate). Both paths produce byte-identical output;
-    ``fastpath=False`` selects the reference (copy-heavy) implementation.
+    cycles terminate).
     """
-    if not fastpath:
-        return _reference_encode(obj, arch)
     return _encode_writer(obj, arch).getvalue()
 
 
@@ -440,11 +397,9 @@ def peek_arch(data) -> Architecture:
 
 
 class _Decoder:
-    def __init__(self, node_blobs: list, arch: Architecture,
-                 reader_cls=Reader):
+    def __init__(self, node_blobs: list, arch: Architecture):
         self.arch = arch
         self.blobs = node_blobs
-        self.reader_cls = reader_cls
         self.shells: list[Any] = [None] * len(node_blobs)
         self.filled = [False] * len(node_blobs)
         self._make_shells()
@@ -514,7 +469,7 @@ class _Decoder:
         if self.filled[nid]:
             return
         self.filled[nid] = True
-        r = self.reader_cls(self.blobs[nid], self.arch)
+        r = Reader(self.blobs[nid], self.arch)
         kind = r.u8()
         shell = self.shells[nid]
         if kind == _N_LIST:
@@ -537,11 +492,10 @@ class _Decoder:
             dtype = self._read_dtype(r)
             ndim = r.varint()
             shape = tuple(r.varint() for _ in range(ndim))
-            # fast Reader hands back a zero-copy view; frombuffer wraps it
-            # without copying, astype does the single vectorized
-            # byte-order conversion into freshly owned native memory
-            raw = r.raw_view() if isinstance(r, Reader) else r.raw()
-            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
+            # frombuffer wraps the zero-copy view without copying; astype
+            # does the single vectorized byte-order conversion into
+            # freshly owned native memory
+            arr = np.frombuffer(r.raw_view(), dtype=dtype).reshape(shape)
             # convert to the *native* byte order of the decoding machine;
             # astype (not ascontiguousarray) keeps 0-dim shapes intact
             self.shells[nid] = arr.astype(dtype.newbyteorder("="))
@@ -549,15 +503,13 @@ class _Decoder:
             raise CodecError(f"bad node kind {kind}")
 
 
-def decode(data, *, fastpath: bool = True) -> Any:
+def decode(data) -> Any:
     """Decode a blob produced by :func:`encode` (on any architecture).
 
-    Accepts ``bytes``, ``bytearray`` or ``memoryview``; the fast path
-    never copies node payloads out of *data* until the final per-array
-    native-order conversion.
+    Accepts ``bytes``, ``bytearray`` or ``memoryview``; node payloads are
+    never copied out of *data* until the final per-array native-order
+    conversion.
     """
-    if not fastpath:
-        return _reference_decode(bytes(data))
     src_arch = peek_arch(data)
     mv = data if isinstance(data, memoryview) else memoryview(data)
     r = Reader(mv[8:], src_arch)
@@ -567,26 +519,8 @@ def decode(data, *, fastpath: bool = True) -> Any:
     nblobs = r.varint()
     blobs = [r.raw_view() for _ in range(nblobs)]
     root_blob = r.raw_view()
-    dec = _Decoder(blobs, src_arch, reader_cls=Reader)
+    dec = _Decoder(blobs, src_arch)
     root_reader = Reader(root_blob, src_arch)
-    value = dec.read_value(root_reader)
-    if not root_reader.exhausted:
-        raise CodecError("trailing bytes after root value")
-    return value
-
-
-def _reference_decode(data: bytes) -> Any:
-    """The original (seed) decode: every slice is a fresh bytes copy."""
-    src_arch = peek_arch(data)
-    r = ReferenceReader(data[8:], src_arch)
-    r.string()
-    r.u8()
-    r.u8()
-    nblobs = r.varint()
-    blobs = [r.raw() for _ in range(nblobs)]
-    root_blob = r.raw()
-    dec = _Decoder(blobs, src_arch, reader_cls=ReferenceReader)
-    root_reader = ReferenceReader(root_blob, src_arch)
     value = dec.read_value(root_reader)
     if not root_reader.exhausted:
         raise CodecError("trailing bytes after root value")
@@ -597,7 +531,7 @@ def encoded_size(obj: Any, arch: Architecture = NATIVE) -> int:
     """Size in bytes of the machine-independent encoding of *obj*.
 
     Used by the protocol layer to charge realistic wire and CPU costs for
-    application payloads and state transfers. The fast path makes this a
-    no-join, no-copy size computation.
+    application payloads and state transfers — a no-join, no-copy size
+    computation over the part list.
     """
     return len(_encode_writer(obj, arch))

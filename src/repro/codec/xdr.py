@@ -8,8 +8,6 @@ architecture produced the stream and converts on the fly — this is where
 heterogeneous encode-on-MIPS / decode-on-SPARC actually happens at the
 byte level.
 
-The default classes are the migration fast path's vectorized pair:
-
 * :class:`Writer` appends bytes-like *parts* without intermediate copies
   (a large payload buffer goes straight into the part list as a
   ``memoryview``) and keeps a running byte count, so ``len(w)`` is O(1)
@@ -18,10 +16,8 @@ The default classes are the migration fast path's vectorized pair:
   hands out zero-copy slices (:meth:`Reader.raw_view`); ``raw()`` still
   returns real ``bytes`` for callers that need an owning object.
 
-:class:`ReferenceWriter` / :class:`ReferenceReader` preserve the original
-copy-per-field implementations byte-for-byte. They are the ``fastpath=
-False`` side of the codec A/B benchmark and the oracle the golden-vector
-tests compare the vectorized pair against.
+The copy-per-field scalar writer/reader this pair is checked against
+byte-for-byte lives in ``tests/helpers/reference_codec.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import struct
 from repro.codec.arch import Architecture
 from repro.util.errors import CodecError
 
-__all__ = ["Writer", "Reader", "ReferenceWriter", "ReferenceReader"]
+__all__ = ["Writer", "Reader"]
 
 #: one cached Struct per (byte order, format) — struct.pack on a module
 #: string re-parses the format on every call; these never do.
@@ -67,8 +63,7 @@ class Writer:
         return b"".join(self._parts)
 
     def __len__(self) -> int:
-        # running count — the reference implementation re-summed every
-        # part here, making length checks O(parts)
+        # running count: length checks stay O(1) however many parts
         return self._nbytes
 
     # -- fixed-width fields ---------------------------------------------------
@@ -272,132 +267,3 @@ class Reader:
     def string(self) -> str:
         n = self.varint()
         return str(self._take(n), "utf-8")
-
-
-class ReferenceWriter:
-    """The original copy-per-field Writer, kept as the fastpath=False
-    baseline and the golden-vector oracle. Byte output is identical to
-    :class:`Writer`."""
-
-    def __init__(self, arch: Architecture):
-        self.arch = arch
-        self._parts: list[bytes] = []
-        self._order = arch.struct_order
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._parts)
-
-    # -- fixed-width fields ---------------------------------------------------
-    def u8(self, v: int) -> None:
-        if not 0 <= v <= 0xFF:
-            raise CodecError(f"u8 out of range: {v}")
-        self._parts.append(bytes([v]))
-
-    def u32(self, v: int) -> None:
-        if not 0 <= v <= 0xFFFFFFFF:
-            raise CodecError(f"u32 out of range: {v}")
-        self._parts.append(struct.pack(self._order + "I", v))
-
-    def u64(self, v: int) -> None:
-        if not 0 <= v < 1 << 64:
-            raise CodecError(f"u64 out of range: {v}")
-        self._parts.append(struct.pack(self._order + "Q", v))
-
-    def f64(self, v: float) -> None:
-        self._parts.append(struct.pack(self._order + "d", v))
-
-    # -- variable-width fields ---------------------------------------------
-    def varint(self, v: int) -> None:
-        if v < 0:
-            raise CodecError(f"varint must be non-negative: {v}")
-        while True:
-            byte = v & 0x7F
-            v >>= 7
-            if v:
-                self._parts.append(bytes([byte | 0x80]))
-            else:
-                self._parts.append(bytes([byte]))
-                return
-
-    def bigint(self, v: int) -> None:
-        sign = 0 if v >= 0 else 1
-        mag = abs(v)
-        raw = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, self.arch.endian)
-        self.u8(sign)
-        self.varint(len(raw))
-        self._parts.append(raw)
-
-    def raw(self, data) -> None:
-        self.varint(len(data))
-        self._parts.append(bytes(data))
-
-    def put(self, data) -> None:
-        self._parts.append(bytes(data))
-
-    def string(self, s: str) -> None:
-        self.raw(s.encode("utf-8"))
-
-
-class ReferenceReader:
-    """The original bytes-slicing Reader (every ``_take`` copies)."""
-
-    def __init__(self, data: bytes, arch: Architecture):
-        self.data = bytes(data)
-        self.arch = arch
-        self._order = arch.struct_order
-        self.pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CodecError(
-                f"truncated stream: need {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
-
-    # -- fixed-width fields -------------------------------------------------
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(self._order + "I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(self._order + "Q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(self._order + "d", self._take(8))[0]
-
-    # -- variable-width fields ------------------------------------------------
-    def varint(self) -> int:
-        shift = 0
-        out = 0
-        while True:
-            b = self.u8()
-            out |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return out
-            shift += 7
-            if shift > 70:
-                raise CodecError("varint too long")
-
-    def bigint(self) -> int:
-        sign = self.u8()
-        n = self.varint()
-        mag = int.from_bytes(self._take(n), self.arch.endian)
-        return -mag if sign else mag
-
-    def raw(self) -> bytes:
-        n = self.varint()
-        return self._take(n)
-
-    def string(self) -> str:
-        return self.raw().decode("utf-8")

@@ -1,13 +1,13 @@
 """Bandwidth-aware chunk sizing for the pipelined state transfer.
 
-The fast path (PR 3) ships migration state as ``state_chunk`` frames of a
-fixed 256 KiB. That one constant cannot suit both ends of the paper's
+By default migration state ships as ``state_chunk`` frames of a fixed
+256 KiB. That one constant cannot suit both ends of the paper's
 hardware table: on a fast link large chunks amortize per-frame overhead,
 while on a slow or jittery link a large chunk parks the pipeline — the
-whole collect/ship/restore overlap the fast path exists for degenerates
-back to the sequential path whenever the chunk is a significant fraction
-of the state (a 256 KiB state in one 256 KiB chunk is *not pipelined at
-all*).
+collect/ship/restore overlap the chunk stream exists for degenerates to
+collect-then-ship-then-restore whenever the chunk is a significant
+fraction of the state (a 256 KiB state in one 256 KiB chunk is *not
+pipelined at all*).
 
 :class:`ChunkController` closes the loop AIMD-style, the congestion
 discipline TCP uses: every shipped chunk reports its **ship latency** —

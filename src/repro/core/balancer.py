@@ -210,8 +210,3 @@ class LoadBalancer:
         net = self.app.vm.network
         return sorted(candidates, key=lambda h: net.host(h).cpu_speed,
                       reverse=True)
-
-    def _pick_idle_host(self) -> str | None:
-        """The single fastest idle host (legacy single-move helper)."""
-        idle = self._idle_hosts()
-        return idle[0] if idle else None

@@ -38,8 +38,8 @@ from repro.vm.ids import Rank
 __all__ = ["CheckpointStore", "checkpoint_state", "restore_state"]
 
 #: Disk-blob integrity header: magic, CRC-32 and length of the payload.
-#: A blob written before the header existed starts with the codec's own
-#: bytes, never this magic, so legacy files still load.
+#: Every file a store writes starts with this magic or the delta one; a
+#: file that starts with neither is damaged, never a restore point.
 _MAGIC = b"RPCK1\x00"
 _HEADER = struct.Struct(">6sIQ")
 
@@ -225,7 +225,7 @@ class CheckpointStore:
         Stronger than the automatic compaction-point GC (which retains
         one full chain window): this keeps only the newest version that
         both passes its integrity check and depends on no older file —
-        a full-blob/legacy checkpoint, or a delta whose manifest says
+        a full-blob checkpoint, or a delta whose manifest says
         self-contained. Meant for explicit quiesce points (a supervisor
         after a verified recovery line, an operator reclaiming space);
         nothing below the survivor can be referenced by any later delta,
@@ -270,12 +270,15 @@ class CheckpointStore:
             payload = self._checked_payload(data, name)
             parts = self._materialize(rank, version, payload, depth=0)
             return b"".join(parts)
+        if self._dir is None:
+            # in-memory save_blob keeps the raw blob: there is no file
+            # to tear, so there is no header to check
+            return data
         if not data.startswith(_MAGIC):
-            # A torn write of a *new-format* blob can be shorter than the
-            # magic itself; such a strict prefix must not pass as legacy.
-            if _MAGIC.startswith(data) or _DELTA_MAGIC.startswith(data):
-                raise ReproError(f"checkpoint {name} is truncated")
-            return data  # legacy headerless blob
+            # a flipped bit in the magic, or a write torn inside it
+            raise ReproError(
+                f"checkpoint {name} is corrupt or truncated "
+                f"(no integrity header)")
         return self._checked_payload(data, name)
 
     @staticmethod

@@ -143,14 +143,9 @@ class MigrationEndpoint:
         configured distributed directory backend instead of the
         scheduler; the scheduler remains the authoritative fallback.
         ``None`` (default) is the paper's centralized configuration.
-    fastpath:
-        ``True`` (default) migrates via the pipelined chunked state
-        transfer (:mod:`repro.core.streaming`): collection, network
-        transfer and restore overlap in virtual time. ``False`` keeps
-        the strictly sequential drain → encode → single-blob send of
-        the paper's Fig. 5 (the A/B baseline).
     chunk_bytes:
-        ``state_chunk`` payload size for the fast path: a fixed int, or
+        ``state_chunk`` payload size of the pipelined state transfer
+        (:mod:`repro.core.streaming`): a fixed int, or
         an :class:`~repro.core.adaptive.AdaptiveChunkPolicy` to size
         chunks AIMD-style from observed per-chunk ship latency.
     bandwidth_budget:
@@ -169,7 +164,6 @@ class MigrationEndpoint:
                  retry_policy: RetryPolicy | None = None,
                  drain_timeout: float | None = None,
                  directory_client=None,
-                 fastpath: bool = True,
                  chunk_bytes=DEFAULT_CHUNK_BYTES,
                  bandwidth_budget=None,
                  trace_id: str | None = None):
@@ -202,7 +196,6 @@ class MigrationEndpoint:
         self.state = INITIALIZING if initializing else NORMAL
         self.retry_policy = retry_policy
         self.drain_timeout = drain_timeout
-        self.fastpath = fastpath
         self.chunk_bytes = chunk_bytes
         #: shared per-host fair-share ledger for concurrent transfers
         self.bandwidth_budget = bandwidth_budget

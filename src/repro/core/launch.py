@@ -68,14 +68,10 @@ class Application:
         distributed backend the launcher spawns the directory daemons,
         seeds them with the initial placement, attaches the scheduler's
         publisher and gives every endpoint a lookup client.
-    fastpath:
-        ``True`` (default) migrates state via the pipelined chunked
-        transfer (collection, network and restore overlap in virtual
-        time). ``False`` reproduces the strictly sequential Fig. 5 flow
-        — the A/B baseline for ``BENCH_fastpath.json`` and for
-        bisecting fast-path regressions.
     chunk_bytes:
-        ``state_chunk`` payload size for the fast path; ``None`` uses
+        ``state_chunk`` payload size of the pipelined state transfer
+        (collection, network and restore overlap in virtual time);
+        ``None`` uses
         :data:`~repro.core.streaming.DEFAULT_CHUNK_BYTES`, an int fixes
         the size, ``"adaptive"`` (or an :class:`~repro.core.adaptive.
         AdaptiveChunkPolicy`) sizes chunks AIMD-style from observed
@@ -98,7 +94,6 @@ class Application:
                  drain_timeout: float | None = None,
                  migration_retry_limit: int = 2,
                  directory: "DirectorySpec | str | None" = None,
-                 fastpath: bool = True,
                  chunk_bytes=None,
                  migration_concurrency: int | None = None):
         self.vm = vm
@@ -118,7 +113,6 @@ class Application:
                 "restore_version requires a checkpoint_store")
         self.retry = retry
         self.drain_timeout = drain_timeout
-        self.fastpath = fastpath
         self.chunk_bytes = coerce_chunk_bytes(chunk_bytes)
         self.migration_concurrency = migration_concurrency
         #: per-source-host fair-share ledgers for concurrent transfers
@@ -211,7 +205,7 @@ class Application:
             retry_policy=self.retry,
             drain_timeout=self.drain_timeout,
             directory_client=self._directory_client(rank),
-            fastpath=self.fastpath, chunk_bytes=self.chunk_bytes,
+            chunk_bytes=self.chunk_bytes,
             bandwidth_budget=self.bandwidth_budget_for(ctx.host))
         self.endpoints[rank] = endpoint
         self.all_endpoints.append(endpoint)
@@ -261,7 +255,7 @@ class Application:
             retry_policy=self.retry,
             drain_timeout=self.drain_timeout,
             directory_client=self._directory_client(rank),
-            fastpath=self.fastpath, chunk_bytes=self.chunk_bytes,
+            chunk_bytes=self.chunk_bytes,
             bandwidth_budget=self.bandwidth_budget_for(ctx.host),
             trace_id=trace_id)
         self.endpoints[rank] = endpoint

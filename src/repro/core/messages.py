@@ -8,7 +8,7 @@ Three families:
   establishment), :class:`PeerMigrating` (the migrating process's last
   message on each channel), :class:`EndOfMessage` (a peer's last message
   when it closes a coordinated channel), and the two state-transfer
-  payloads :class:`RecvListTransfer` / :class:`ExeMemState`;
+  payloads :class:`RecvListTransfer` / :class:`StateChunk`;
 * **scheduler RPCs** — connectionless messages between processes and the
   scheduler for lookup and migration coordination.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "PeerMigrating",
     "EndOfMessage",
     "RecvListTransfer",
-    "ExeMemState",
     "StateChunk",
     "LookupRequest",
     "LookupReply",
@@ -119,22 +118,13 @@ class RecvListTransfer:
 
 
 @dataclass
-class ExeMemState:
-    """Machine-independent execution + memory state blob (paper refs [10,11])."""
-
-    blob: bytes
-    nbytes: int
-    src_arch: str
-
-
-@dataclass
 class StateChunk:
-    """One slice of the machine-independent state (migration fast path).
+    """One slice of the machine-independent execution + memory state
+    (paper refs [10, 11]).
 
-    The pipelined transfer ships the :class:`ExeMemState` payload as a
-    FIFO sequence of these, starting while the channel drain is still in
-    progress; the concatenation of all chunk parts is byte-identical to
-    the blob the non-pipelined path would have sent. Marked protocol
+    The state transfer is a FIFO sequence of these, starting while the
+    channel drain is still in progress; the concatenation of all chunk
+    parts is byte-identical to ``encode(state, arch)``. Marked protocol
     control because a drain-timeout abort can legitimately strand chunks
     at a terminating initialized process — the retry re-sends the whole
     stream on a fresh channel, so no state is lost.

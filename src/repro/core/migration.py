@@ -27,12 +27,11 @@ into its JSONL artifacts, so one report renderer serves both.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from repro.codec import encode, decode
+from repro.codec import decode
 from repro.core.endpoint import MIGRATING, NORMAL, MigrationEndpoint
 from repro.core.messages import (
-    ExeMemState,
     InitAbort,
     LookupReply,
     LookupRequest,
@@ -50,7 +49,7 @@ from repro.core.messages import (
 )
 from repro.core.adaptive import AdaptiveChunkPolicy, ChunkController
 from repro.core.sizes import CONTROL_PAYLOAD_BYTES, MESSAGE_HEADER_BYTES
-from repro.core.streaming import ChunkSource
+from repro.core.streaming import ChunkAssembler, ChunkSource
 from repro.sim.kernel import TIMEOUT
 from repro.sim.trace import KIND_TIMEOUT
 from repro.util.errors import MigrationError
@@ -124,29 +123,24 @@ def run_migration(ep: MigrationEndpoint, state: dict) -> None:
                     **_tctx(ep, "reject"))
     vm.daemon(ctx.host).reject_future_conn_reqs(ctx.vmid.pid)
 
-    # Fast path: the transfer channel opens *now* (the initialized process
-    # already exists) so state collection can interleave with the drain —
-    # whenever the mailbox is idle, the next state_chunk is collected and
-    # shipped instead of just waiting on in-transit messages. Collection,
-    # network transfer and destination-side restore then overlap in
-    # virtual time; the chunk stream is byte-identical to the single blob
-    # the sequential path sends.
-    xfer: Channel | None = None
-    source: ChunkSource | None = None
+    # The transfer channel opens *now* (the initialized process already
+    # exists) so state collection can interleave with the drain — whenever
+    # the mailbox is idle, the next state_chunk is collected and shipped
+    # instead of just waiting on in-transit messages. Collection, network
+    # transfer and destination-side restore then overlap in virtual time.
+    xfer = vm.create_channel(ctx.vmid, new_vmid)
     controller: ChunkController | None = None
     collect_seconds = 0.0
-    if ep.fastpath:
-        xfer = vm.create_channel(ctx.vmid, new_vmid)
-        sizer = ep.chunk_bytes
-        if isinstance(sizer, AdaptiveChunkPolicy):
-            # a fresh controller per migration attempt: a retry after an
-            # abort starts from the policy's initial size again. The
-            # controller holds a slot in the host's shared bandwidth
-            # budget for the life of the transfer, so concurrent windows
-            # leaving this host split the uplink fairly.
-            controller = ChunkController(sizer, budget=ep.bandwidth_budget)
-            sizer = controller
-        source = ChunkSource(state, ep.arch, sizer)
+    sizer = ep.chunk_bytes
+    if isinstance(sizer, AdaptiveChunkPolicy):
+        # a fresh controller per migration attempt: a retry after an
+        # abort starts from the policy's initial size again. The
+        # controller holds a slot in the host's shared bandwidth
+        # budget for the life of the transfer, so concurrent windows
+        # leaving this host split the uplink fairly.
+        controller = ChunkController(sizer, budget=ep.bandwidth_budget)
+        sizer = controller
+    source = ChunkSource(state, ep.arch, sizer)
 
     def send_next_chunk() -> None:
         nonlocal collect_seconds
@@ -204,8 +198,7 @@ def run_migration(ep: MigrationEndpoint, state: dict) -> None:
                                           "drain": t_coord0},
                                  controller=controller)
                 return
-        if source is not None and not source.exhausted \
-                and not len(ctx.mailbox):
+        if not source.exhausted and not len(ctx.mailbox):
             # Nothing to drain right now: spend the wait collecting and
             # shipping state instead of idling (the pipelined overlap).
             # Messages arriving during the chunk's burn are picked up on
@@ -237,43 +230,27 @@ def run_migration(ep: MigrationEndpoint, state: dict) -> None:
     t_xfer0 = kernel.now
     vm.trace_record(ctx.name, "span_start", phase="transfer", rank=ep.rank,
                     **_tctx(ep, "transfer"))
-    if xfer is None:
-        xfer = vm.create_channel(ctx.vmid, new_vmid)
     messages = ep.recvlist.take_all()
     list_nbytes = sum(m.nbytes for m in messages) + MESSAGE_HEADER_BYTES
     xfer.send(ctx, RecvListTransfer(messages, list_nbytes), list_nbytes)
     vm.trace_record(ctx.name, "recvlist_sent", count=len(messages),
                     nbytes=list_nbytes)
 
-    if source is None:
-        # Lines 9-10 sequential (fastpath=False): collect execution and
-        # memory state into the machine-independent representation
-        # (refs [10, 11]), then ship it as one blob.
-        t_collect0 = kernel.now
-        blob = encode(state, ep.arch, fastpath=False)
-        costs = vm.costs
-        ctx.burn(costs.state_fixed + len(blob) * costs.state_collect_per_byte)
-        vm.trace_record(ctx.name, "collect_done", nbytes=len(blob),
-                        seconds=kernel.now - t_collect0)
-        xfer.send(ctx, ExeMemState(blob, len(blob), ep.arch.name), len(blob))
-        vm.trace_record(ctx.name, "state_sent", nbytes=len(blob))
-    else:
-        # Lines 9-10 pipelined: ship whatever the drain did not already
-        # cover. collect_done marks the end of collection as before —
-        # with the pipeline most of the transfer is already in flight or
-        # delivered by now, which is where the latency win comes from.
-        while not source.exhausted:
-            send_next_chunk()
-        extra = {}
-        if controller is not None:
-            extra = controller.stats()
-            controller.close()
-        vm.trace_record(ctx.name, "collect_done",
-                        nbytes=source.total_nbytes,
-                        seconds=collect_seconds, nchunks=source.nchunks,
-                        **extra)
-        vm.trace_record(ctx.name, "state_sent", nbytes=source.total_nbytes,
-                        nchunks=source.nchunks, **extra)
+    # Lines 9-10: collect execution and memory state into the
+    # machine-independent representation (refs [10, 11]) and ship whatever
+    # the drain did not already cover. collect_done marks the end of
+    # collection — most of the transfer is already in flight or delivered
+    # by now, which is where the pipeline's latency win comes from.
+    while not source.exhausted:
+        send_next_chunk()
+    extra = {}
+    if controller is not None:
+        extra = controller.stats()
+        controller.close()
+    vm.trace_record(ctx.name, "collect_done", nbytes=source.total_nbytes,
+                    seconds=collect_seconds, nchunks=source.nchunks, **extra)
+    vm.trace_record(ctx.name, "state_sent", nbytes=source.total_nbytes,
+                    nchunks=source.nchunks, **extra)
 
     vm.trace_record(ctx.name, "span_end", phase="transfer", rank=ep.rank,
                     seconds=kernel.now - t_xfer0, **_tctx(ep, "transfer"))
@@ -288,7 +265,7 @@ def run_migration(ep: MigrationEndpoint, state: dict) -> None:
 
 
 def _abort_migration(ep: MigrationEndpoint, waiting: "set[Rank]",
-                     xfer: Channel | None = None,
+                     xfer: Channel,
                      span_t0: "dict[str, float] | None" = None,
                      controller: ChunkController | None = None) -> None:
     """Drain timeout expired: revert to normal execution (hardened mode).
@@ -300,7 +277,7 @@ def _abort_migration(ep: MigrationEndpoint, waiting: "set[Rank]",
     last message, both sides have closed them, and future sends simply
     reconnect; no data was lost because everything in transit was drained
     into the received-message-list, which this process keeps. State chunks
-    the fast path already shipped are abandoned with the transfer channel
+    already shipped are abandoned with the transfer channel
     (dropped as protocol control at the exiting initialized process); a
     retried migration re-encodes and re-sends from scratch on a fresh
     channel to the fresh initialized process.
@@ -317,8 +294,7 @@ def _abort_migration(ep: MigrationEndpoint, waiting: "set[Rank]",
         # give the bandwidth-budget slot back: a dead transfer must not
         # keep diluting the fair shares of still-live windows
         controller.close()
-    if xfer is not None:
-        xfer.close_end(ctx.vmid)
+    xfer.close_end(ctx.vmid)
     # close open phase spans innermost-first (drain opened after reject)
     for phase in ("drain", "reject"):
         if span_t0 is not None and phase in span_t0:
@@ -379,37 +355,23 @@ def run_initialization(ep: MigrationEndpoint) -> dict:
 
     # Lines 2-3: receive the migrating process's list (ListA), then insert
     # it *in front of* the local list so it is consumed first.
-    env = _pump_transfer(ep, RecvListTransfer,
+    env = _pump_transfer(ep, lambda p: isinstance(p, RecvListTransfer),
                          span_t0={"restore": t_init0})
     transfer: RecvListTransfer = env.payload
     ep.recvlist.prepend_all(transfer.messages)
     vm.trace_record(ctx.name, "recvlist_received",
                     count=len(transfer.messages))
 
-    # Line 4: receive the execution and memory state — either the single
-    # ExeMemState blob (sequential path) or the tail of a state_chunk
-    # stream whose restore cost was charged chunk-by-chunk as it arrived
-    # (pipelined path; chunks may have been absorbed since before the
-    # recvlist transfer landed).
-    result = _receive_state(ep, span_t0={"restore": t_init0})
-    restore_prepaid = 0.0
-    if isinstance(result, Envelope):
-        payload: ExeMemState = result.payload
-        vm.trace_record(ctx.name, "state_received", nbytes=payload.nbytes,
-                        src_arch=payload.src_arch)
-        t_restore0 = kernel.now
-        state = decode(payload.blob, fastpath=ep.fastpath)
-        costs = vm.costs
-        ctx.burn(costs.state_fixed
-                 + payload.nbytes * costs.state_restore_per_byte)
-    else:
-        asm = result
-        vm.trace_record(ctx.name, "state_received", nbytes=asm.total_nbytes,
-                        src_arch=asm.src_arch, nchunks=asm.nchunks)
-        t_restore0 = kernel.now
-        state = decode(asm.assemble())
-        restore_prepaid = asm.restore_seconds
-        ep._chunk_assembler = None
+    # Line 4: receive the execution and memory state — the tail of a
+    # state_chunk stream whose restore cost was charged chunk-by-chunk as
+    # it arrived (chunks may have been absorbed since before the recvlist
+    # transfer landed).
+    asm = _receive_state(ep, span_t0={"restore": t_init0})
+    vm.trace_record(ctx.name, "state_received", nbytes=asm.total_nbytes,
+                    src_arch=asm.src_arch, nchunks=asm.nchunks)
+    t_restore0 = kernel.now
+    state = decode(asm.assemble())
+    ep._chunk_assembler = None
     if not isinstance(state, dict):
         raise MigrationError(
             f"restored state is {type(state).__name__}, expected dict")
@@ -422,7 +384,7 @@ def run_initialization(ep: MigrationEndpoint) -> dict:
     snapshot: PLSnapshot = reply_env.msg
     ep.pl.replace_all(snapshot.table)
     vm.trace_record(ctx.name, "restore_done",
-                    seconds=restore_prepaid + (kernel.now - t_restore0),
+                    seconds=asm.restore_seconds + (kernel.now - t_restore0),
                     old_vmid=str(snapshot.old_vmid))
     # The restore span covers the whole receive+decode window (list and
     # state transfer included), matching the mp runtime's restore phase.
@@ -458,30 +420,29 @@ def run_initialization(ep: MigrationEndpoint) -> dict:
 
 
 def _receive_state(ep: MigrationEndpoint,
-                   span_t0: "dict[str, float] | None" = None):
-    """Wait for the full state: a blob envelope or a complete chunk stream.
+                   span_t0: "dict[str, float] | None" = None
+                   ) -> ChunkAssembler:
+    """Wait for the complete chunk stream; returns the endpoint's
+    completed :class:`~repro.core.streaming.ChunkAssembler`.
 
-    Returns the :class:`~repro.vm.messages.Envelope` carrying an
-    :class:`ExeMemState`, or the endpoint's completed
-    :class:`~repro.core.streaming.ChunkAssembler`. Chunks that arrived
-    while earlier waits were pumping have already been absorbed by
-    dispatch, so the stream may be complete before we even start.
+    Chunks that arrived while earlier waits were pumping have already
+    been absorbed by dispatch, so the stream may be complete before we
+    even start.
     """
     asm = ep._chunk_assembler
-    if asm is not None and asm.complete:
-        return asm
-    env = _pump_transfer(ep, ExeMemState, accept_chunk_tail=True,
-                         span_t0=span_t0)
-    if isinstance(env.payload, StateChunk):
+    if asm is None or not asm.complete:
+        env = _pump_transfer(
+            ep, lambda p: isinstance(p, StateChunk) and p.last,
+            span_t0=span_t0)
         ep.dispatch(env)  # absorb the final chunk; the assembler completes
-        return ep._chunk_assembler
-    return env
+    return ep._chunk_assembler
 
 
-def _pump_transfer(ep: MigrationEndpoint, payload_type: type,
-                   accept_chunk_tail: bool = False,
+def _pump_transfer(ep: MigrationEndpoint,
+                   wanted: "Callable[[Any], bool]",
                    span_t0: "dict[str, float] | None" = None) -> Envelope:
-    """Wait for a state-transfer payload, honouring scheduler aborts.
+    """Wait for the state-transfer envelope whose payload satisfies
+    *wanted*, honouring scheduler aborts.
 
     If the scheduler reports the migrating rank terminated before starting
     its migration (:class:`InitAbort`), the initialized process exits —
@@ -503,11 +464,7 @@ def _pump_transfer(ep: MigrationEndpoint, payload_type: type,
 
     def pred(it: Any) -> bool:
         if isinstance(it, Envelope):
-            if isinstance(it.payload, payload_type):
-                return True
-            if accept_chunk_tail and isinstance(it.payload, StateChunk) \
-                    and it.payload.last:
-                return True
+            return wanted(it.payload)
         if isinstance(it, ControlEnvelope):
             if isinstance(it.msg, InitAbort):
                 return True

@@ -1,8 +1,8 @@
-"""Incremental state collection and chunked transfer (migration fast path).
+"""Incremental state collection and chunked transfer.
 
 The paper's Tables 1-2 show migration cost dominated by three sequential
-stages: collect the machine-independent state, ship it, restore it. The
-fast path turns that sequence into a pipeline: :class:`ChunkSource` slices
+stages: collect the machine-independent state, ship it, restore it. This
+module turns that sequence into a pipeline: :class:`ChunkSource` slices
 the zero-copy part list from :func:`repro.codec.encode_parts` into
 ``state_chunk`` frames that the migrating process collects-and-sends one
 at a time — interleaved with the channel drain, and with the network and
@@ -18,11 +18,9 @@ such as :class:`repro.core.adaptive.ChunkController` — how large the
 feeds per-chunk ship latencies back between cuts, so a slow link gets
 small pipeline-friendly chunks and a fast one gets large amortized ones.
 
-The chunk stream is bytewise identical to the single
-:class:`~repro.core.messages.ExeMemState` blob of the non-pipelined path:
-``assemble()`` returns the same bytes ``encode(state, arch)`` would have
-produced, so the decoded state cannot differ between modes. (Chunk
-*boundaries* never affect the assembled bytes — only the framing.)
+``assemble()`` returns exactly the bytes ``encode(state, arch)``
+produces: chunk *boundaries* never affect the assembled bytes — only the
+framing — so the decoded state cannot depend on the chunk size.
 
 Chunks ride the same reliable FIFO transfer channel as the
 received-message-list, and they are *protocol-control* payloads: when a

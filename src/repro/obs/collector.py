@@ -4,7 +4,7 @@ Worker side, a :class:`WorkerObs` bundles the per-process pieces: a
 :class:`~repro.obs.recorder.BufferRecorder` (wall-clock events), a
 :class:`~repro.obs.metrics.MetricsRegistry` (hot-path counters), and the
 sampling discipline for per-message events. The worker ships batches as
-``("obs", rank, actor, events, snapshot_or_None)`` frames on its
+``("obs", rank, actor, events, snapshot_or_None, final)`` frames on its
 *existing* registry control connection — no extra socket, and the frames
 are plain data for the allowlist unpickler.
 
@@ -47,7 +47,7 @@ class ObsConfig:
     ``sample_every`` governs per-*message* events only (``send`` /
     ``recv``): 0 (default) records none — steady-state traffic is then
     visible through counters alone, which is what keeps the enabled-mode
-    overhead inside the fastpath benchmark's 3%% budget; ``N > 0``
+    overhead inside the obs-overhead benchmark's 3%% budget; ``N > 0``
     records every Nth message.
 
     ``flush_every`` is a *count*: ship a batch once that many events
@@ -145,21 +145,15 @@ class RegistryCollector:
         self._live: dict[str, tuple[float, list[dict]]] = {}
 
     def absorb(self, frame: tuple) -> None:
-        """Fold one ``("obs", rank, actor, events, snapshot[, final])``
+        """Fold one ``("obs", rank, actor, events, snapshot, final)``
         frame.
 
-        Legacy 5-tuples (pre-live-streaming workers) carry a snapshot
-        only at teardown, so a non-``None`` snapshot implies final.
         Final snapshots merge into the cluster-wide registry stamped
         with the actor's incarnation (deterministic gauge resolution —
         see :meth:`MetricsRegistry.merge_snapshot`); live ones only
         refresh the :meth:`live_view`.
         """
-        if len(frame) >= 6:
-            _, _rank, actor, events, snapshot, final = frame[:6]
-        else:
-            _, _rank, actor, events, snapshot = frame
-            final = snapshot is not None
+        _, _rank, actor, events, snapshot, final = frame
         with self._lock:
             for ts, kind, fields in events:
                 self._events.append((ts, actor, kind, fields))

@@ -19,13 +19,15 @@ payloads travel inside frames too and are therefore limited to the same
 plain-data vocabulary; structured process state crosses the wire as
 opaque codec bytes, never as pickled objects.
 
-The fast path (:func:`send_frame_fast`, :class:`FrameReader`,
-:class:`FrameBatcher`) speaks the *same* wire format — a legacy peer can
-read fast-sent frames and vice versa — but avoids the per-frame copies:
-``sendmsg`` scatter-gathers the header and payload instead of
-concatenating them, and the reader fills one reusable buffer with
-``recv_into`` instead of allocating a bytearray per frame. Every read
-path, fast or legacy, goes through the same allowlist unpickler.
+Per-frame copies are avoided where they cost: :func:`send_frame`
+scatter-gathers the header and a large payload through ``sendmsg``
+instead of concatenating them, :class:`FrameBatcher` coalesces small
+frames into one ``sendmsg``, and :class:`FrameReader` fills one reusable
+buffer with ``recv_into``. :func:`recv_frame` is the one-shot reader for
+handshakes and request/reply exchanges — it never reads past its frame,
+so the socket can be handed to a :class:`FrameReader` afterwards. All of
+them speak the same wire format and every read goes through the same
+allowlist unpickler.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import socket
 import struct
 from typing import Any
 
-__all__ = ["send_frame", "recv_frame", "send_frame_fast", "FrameReader",
+__all__ = ["send_frame", "recv_frame", "FrameReader",
            "FrameBatcher", "FrameStats", "FrameClosed", "UnsafeFrame",
            "restricted_loads", "allow_frame_global", "ALLOWED_GLOBALS"]
 
@@ -124,20 +126,6 @@ def restricted_loads(payload) -> Any:
     return _RestrictedUnpickler(io.BytesIO(payload)).load()
 
 
-def send_frame(sock: socket.socket, obj: Any,
-               stats: "FrameStats | None" = None) -> int:
-    """Serialize *obj* and write it as one frame (blocking); returns the
-    wire bytes written (header included)."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HDR.pack(len(payload)) + payload)
-    nbytes = _HDR.size + len(payload)
-    if stats is not None:
-        stats.frames_out += 1
-        stats.bytes_out += nbytes
-        stats.flushes += 1
-    return nbytes
-
-
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
     while len(buf) < n:
@@ -156,11 +144,7 @@ def recv_frame(sock: socket.socket,
     Frames are deserialized through the allowlist unpickler — a hostile
     frame raises :class:`UnsafeFrame` rather than executing anything.
     """
-    try:
-        hdr = _recv_exact(sock, _HDR.size)
-    except FrameClosed:
-        raise
-    (length,) = _HDR.unpack(hdr)
+    (length,) = _HDR.unpack(_recv_exact(sock, _HDR.size))
     if length > MAX_FRAME:
         raise ValueError(f"frame of {length} bytes exceeds limit")
     obj = restricted_loads(_recv_exact(sock, length))
@@ -169,10 +153,6 @@ def recv_frame(sock: socket.socket,
         stats.bytes_in += _HDR.size + length
     return obj
 
-
-# ---------------------------------------------------------------------------
-# fast path: same wire format, fewer copies
-# ---------------------------------------------------------------------------
 
 def _sendmsg_all(sock: socket.socket, buffers: list) -> None:
     """Write every buffer fully, scatter-gather where the OS allows.
@@ -202,13 +182,13 @@ def _sendmsg_all(sock: socket.socket, buffers: list) -> None:
 _SMALL_SEND = 16 * 1024
 
 
-def send_frame_fast(sock: socket.socket, obj: Any,
-                    stats: "FrameStats | None" = None) -> int:
-    """Like :func:`send_frame` without the header+payload concatenation.
+def send_frame(sock: socket.socket, obj: Any,
+               stats: "FrameStats | None" = None) -> int:
+    """Serialize *obj* and write it as one frame (blocking).
 
     The 4-byte header and the pickled payload go out as one
     scatter-gather ``sendmsg`` — for multi-megabyte state frames this
-    skips a full extra copy of the payload. Small frames still use one
+    skips a full extra copy of the payload. Small frames use one
     ``sendall``: copying a few KB is cheaper than building an iovec.
     Returns the wire bytes written (header included).
     """
@@ -271,12 +251,13 @@ class FrameBatcher:
 class FrameReader:
     """Frame parser over a reusable ``recv_into`` buffer.
 
-    The legacy :func:`recv_frame` allocates a fresh bytearray per frame
-    and copies it to bytes; this reader keeps one growable buffer,
-    appends raw socket data into it, and deserializes each frame from a
-    memoryview of that buffer — the only copy left is the unpickler's
-    own. Same framing, same :data:`MAX_FRAME` guard, same allowlist
-    unpickler.
+    Where the one-shot :func:`recv_frame` allocates a fresh bytearray
+    per frame, this reader keeps one growable buffer, appends raw socket
+    data into it, and deserializes each frame from a memoryview of that
+    buffer — the only copy left is the unpickler's own. Same framing,
+    same :data:`MAX_FRAME` guard, same allowlist unpickler. It reads
+    ahead, so once a socket has a reader every later frame must come
+    through it.
     """
 
     def __init__(self, sock: socket.socket, bufsize: int = 64 * 1024,

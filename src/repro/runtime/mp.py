@@ -65,7 +65,12 @@ from repro.core.adaptive import (
 from repro.core.checkpointing import CheckpointStore
 from repro.core.gang import ADMIT, GangAdmission
 from repro.core.grants import GrantLedger
-from repro.core.streaming import DEFAULT_CHUNK_BYTES, ChunkSource
+from repro.core.messages import StateChunk
+from repro.core.streaming import (
+    DEFAULT_CHUNK_BYTES,
+    ChunkAssembler,
+    ChunkSource,
+)
 from repro.directory.chordring import ChordRing
 from repro.directory.hashring import HashRing
 from repro.directory.spec import DirectorySpec
@@ -80,7 +85,6 @@ from repro.runtime.framing import (
     FrameStats,
     recv_frame,
     send_frame,
-    send_frame_fast,
 )
 from repro.runtime.mp_directory import (
     DaemonClientConfig,
@@ -355,6 +359,7 @@ class _Registry:
                         self.status[rank] = "running"
                         self.worker_ctl[rank] = conn
                         self._dir_write(rank)
+                        self._changed.notify_all()
                     # the reply carries the registry's clock so the
                     # worker can estimate its offset to the reference
                     # timeline (midpoint-of-RTT; see repro.obs.clock)
@@ -567,12 +572,8 @@ class _StoredMessage:
 class _PeerLink:
     """One TCP connection to a peer, with its reader thread.
 
-    ``fastpath`` switches both directions to the zero-copy framing
-    (``sendmsg`` scatter-gather out, ``recv_into`` reader in); the wire
-    format is unchanged, so a fast link interoperates with a legacy one.
-
-    On fast links, steady-state ``data`` frames go through
-    :meth:`stage`: they queue in a per-link :class:`FrameBatcher` and
+    Steady-state ``data`` frames go through :meth:`stage`: they queue in
+    a per-link :class:`FrameBatcher` and
     leave together — when the batcher limit fills, when the owning
     worker is about to block (it cannot be waiting on a peer that is
     itself waiting on unstaged bytes), or when a control frame must go
@@ -582,13 +583,11 @@ class _PeerLink:
     """
 
     def __init__(self, sock: socket.socket, rank: int, inbox: queue.Queue,
-                 fastpath: bool = False,
                  stats: FrameStats | None = None):
         self.sock = sock
         self.rank = rank
         self.inbox = inbox
         self.open = True
-        self.fastpath = fastpath
         self.stats = stats
         #: the acceptor's GrantLedger token, settled when this link's
         #: ``new_link`` is dispatched (None on dialed/transfer links)
@@ -596,8 +595,7 @@ class _PeerLink:
         #: the peer's receive cursor for us, as advertised in its hello
         #: (recovery runs only): everything past it replays on adoption
         self.replay_from: int | None = None
-        self._batcher = (FrameBatcher(sock, stats=stats)
-                         if fastpath else None)
+        self._batcher = FrameBatcher(sock, stats=stats)
         self._wlock = threading.Lock()
 
     def start(self) -> None:
@@ -606,14 +604,10 @@ class _PeerLink:
 
     def _read_loop(self) -> None:
         inbox = self.inbox
+        reader = FrameReader(self.sock, stats=self.stats)
         try:
-            if self.fastpath:
-                reader = FrameReader(self.sock, stats=self.stats)
-                while True:
-                    inbox.put(("peer", self.rank, reader.read_frame()))
             while True:
-                inbox.put(("peer", self.rank,
-                           recv_frame(self.sock, stats=self.stats)))
+                inbox.put(("peer", self.rank, reader.read_frame()))
         except (FrameClosed, OSError):
             # identify *which* link closed: a stale EOF from a replaced
             # connection must not mark its successor closed
@@ -622,27 +616,15 @@ class _PeerLink:
     def send(self, frame: Any) -> None:
         """Write *frame* now (flushing anything staged before it)."""
         with self._wlock:
-            if self._batcher is not None:
-                self._batcher.flush()
-            if self.fastpath:
-                send_frame_fast(self.sock, frame, stats=self.stats)
-            else:
-                send_frame(self.sock, frame, stats=self.stats)
+            self._batcher.flush()
+            send_frame(self.sock, frame, stats=self.stats)
 
     def stage(self, frame: Any) -> None:
-        """Queue *frame* for coalesced delivery (fast links); legacy
-        links fall back to an immediate write."""
+        """Queue *frame* for coalesced delivery."""
         with self._wlock:
-            if self._batcher is not None:
-                self._batcher.add(frame)
-            elif self.fastpath:
-                send_frame_fast(self.sock, frame, stats=self.stats)
-            else:
-                send_frame(self.sock, frame, stats=self.stats)
+            self._batcher.add(frame)
 
     def flush(self) -> None:
-        if self._batcher is None:
-            return
         with self._wlock:
             try:
                 self._batcher.flush()
@@ -702,7 +684,7 @@ class _Worker:
     def __init__(self, rank: int, nranks: int, registry_addr: tuple,
                  program: Callable, initializing: bool,
                  arch: Architecture, incarnation: int,
-                 fastpath: bool = True, obs: ObsConfig | None = None,
+                 obs: ObsConfig | None = None,
                  dir_cfg: DaemonClientConfig | None = None,
                  rec_cfg: WorkerRecoveryConfig | None = None,
                  chunk_bytes=DEFAULT_CHUNK_BYTES,
@@ -713,7 +695,6 @@ class _Worker:
         self.program = program
         self.arch = arch
         self.incarnation = incarnation
-        self.fastpath = fastpath
         #: the causal trace this worker's migration spans belong to: an
         #: initialized process inherits it from the launcher; a source
         #: learns it from the ("migrate", ...) ctl frame
@@ -899,8 +880,7 @@ class _Worker:
         stats = FrameStats() if self.obs is not None else None
         if stats is not None:
             self._link_stats.append(stats)
-        return _PeerLink(sock, peer_rank, self.inbox, self.fastpath,
-                         stats=stats)
+        return _PeerLink(sock, peer_rank, self.inbox, stats=stats)
 
     def _flush_links(self) -> None:
         """Push every link's staged frames out before blocking."""
@@ -1551,8 +1531,7 @@ class _Worker:
         ctrl_stats: dict = {}
         parts = None
         list_a = [(m.src, m.tag, m.body) for m in self.recvlist]
-        if self.rec is not None and self.fastpath \
-                and self._ckpt_store.delta:
+        if self.rec is not None and self._ckpt_store.delta:
             # delta store on: the pre-departure encode doubles as the
             # rank's final durable checkpoint — one encode and one hash
             # pass serve both, and the wrapper (state + recvlist + comm
@@ -1579,73 +1558,60 @@ class _Worker:
         xfer = socket.create_connection(tuple(new_addr),
                                         timeout=_CONNECT_TIMEOUT)
         nchunks = 0
-        if self.fastpath:
-            # chunked stream: the destination starts absorbing while we
-            # are still encoding; small leading frames (handshake,
-            # recvlist) coalesce with the first chunk into one sendmsg
-            batch = FrameBatcher(xfer)
-            # the trace id rides every transfer frame: the destination
-            # stitches its restore/commit spans under the same trace
-            # even when it was spawned without one (recovery tooling,
-            # external inits)
-            batch.add(("state_transfer", self.rank, tid))
-            batch.add(("recvlist", list_a, tid))
-            sizer = self.chunk_bytes
-            controller = None
-            if isinstance(sizer, AdaptiveChunkPolicy):
-                controller = ChunkController(sizer, budget=self.budget)
-                sizer = controller
-            if parts is None:
-                source = ChunkSource(state, self.arch, sizer)
-            else:
-                source = ChunkSource(arch=self.arch, chunk_bytes=sizer,
-                                     parts=parts)
-            while not source.exhausted:
-                c = source.next_chunk()
-                data = b"".join(c.parts)
-                if controller is None:
-                    batch.add(("state_chunk", c.seq, data, c.last,
-                               c.total_nbytes, tid))
-                else:
-                    # adaptive: flush per chunk and feed the wall-clock
-                    # hand-off time back — a full kernel buffer (slow
-                    # reader or slow wire) blocks the flush, reads as
-                    # high latency and shrinks the next chunk
-                    t0 = time.perf_counter()
-                    batch.add(("state_chunk", c.seq, data, c.last,
-                               c.total_nbytes, tid))
-                    batch.flush()
-                    controller.observe(len(data),
-                                       time.perf_counter() - t0)
-                    if obs is not None:
-                        self._g_chunk.set(controller.size)
-                nchunks += 1
-                if obs is not None:
-                    # live per-window progress: with overlapping gangs
-                    # this is how a paced-but-contended transfer is told
-                    # apart from a stuck one in the live view
-                    self._g_xfer.set(source.sent_nbytes)
-                    obs.event("state_chunk", seq=c.seq, nbytes=len(data),
-                              last=c.last, rank=self.rank,
-                              **self._tctx("transfer"))
-            batch.flush()
-            if controller is not None:
-                ctrl_stats = controller.stats()
-                # give the gang its slot back the moment the last chunk
-                # is on the wire — the restore side no longer contends
-                controller.close()
+        # chunked stream: the destination starts absorbing while we
+        # are still encoding; small leading frames (handshake,
+        # recvlist) coalesce with the first chunk into one sendmsg
+        batch = FrameBatcher(xfer)
+        # the trace id rides every transfer frame: the destination
+        # stitches its restore/commit spans under the same trace
+        # even when it was spawned without one (recovery tooling,
+        # external inits)
+        batch.add(("state_transfer", self.rank, tid))
+        batch.add(("recvlist", list_a, tid))
+        sizer = self.chunk_bytes
+        controller = None
+        if isinstance(sizer, AdaptiveChunkPolicy):
+            controller = ChunkController(sizer, budget=self.budget)
+            sizer = controller
+        if parts is None:
+            source = ChunkSource(state, self.arch, sizer)
         else:
-            send_frame(xfer, ("state_transfer", self.rank, tid))
-            send_frame(xfer, ("recvlist",
-                              [(m.src, m.tag, m.body)
-                               for m in self.recvlist], tid))
-            blob = encode(state, self.arch, fastpath=False)
-            send_frame(xfer, ("state", blob, tid))
-            nchunks = 1
+            source = ChunkSource(arch=self.arch, chunk_bytes=sizer,
+                                 parts=parts)
+        while not source.exhausted:
+            c = source.next_chunk()
+            data = b"".join(c.parts)
+            if controller is None:
+                batch.add(("state_chunk", c.seq, data, c.last,
+                           c.total_nbytes, tid))
+            else:
+                # adaptive: flush per chunk and feed the wall-clock
+                # hand-off time back — a full kernel buffer (slow
+                # reader or slow wire) blocks the flush, reads as
+                # high latency and shrinks the next chunk
+                t0 = time.perf_counter()
+                batch.add(("state_chunk", c.seq, data, c.last,
+                           c.total_nbytes, tid))
+                batch.flush()
+                controller.observe(len(data),
+                                   time.perf_counter() - t0)
+                if obs is not None:
+                    self._g_chunk.set(controller.size)
+            nchunks += 1
             if obs is not None:
-                obs.event("state_chunk", seq=0, nbytes=len(blob),
-                          last=True, rank=self.rank,
+                # live per-window progress: with overlapping gangs
+                # this is how a paced-but-contended transfer is told
+                # apart from a stuck one in the live view
+                self._g_xfer.set(source.sent_nbytes)
+                obs.event("state_chunk", seq=c.seq, nbytes=len(data),
+                          last=c.last, rank=self.rank,
                           **self._tctx("transfer"))
+        batch.flush()
+        if controller is not None:
+            ctrl_stats = controller.stats()
+            # give the gang its slot back the moment the last chunk
+            # is on the wire — the restore side no longer contends
+            controller.close()
         xfer.close()
         if transfer is not None:
             transfer.close(chunks=nchunks, **ctrl_stats)
@@ -1667,7 +1633,6 @@ class _Migrated(BaseException):
 
 def _worker_main(rank: int, nranks: int, registry_addr: tuple,
                  program: Callable, pl: dict, arch: Architecture,
-                 fastpath: bool = True,
                  obs: ObsConfig | None = None,
                  state: dict | None = None,
                  dir_cfg: DaemonClientConfig | None = None,
@@ -1676,16 +1641,15 @@ def _worker_main(rank: int, nranks: int, registry_addr: tuple,
                  budget: "_SharedBandwidthBudget | None" = None) -> None:
     _configure_logging()
     w = _Worker(rank, nranks, registry_addr, program, initializing=False,
-                arch=arch, incarnation=0, fastpath=fastpath, obs=obs,
-                dir_cfg=dir_cfg, rec_cfg=rec_cfg, chunk_bytes=chunk_bytes,
-                budget=budget)
+                arch=arch, incarnation=0, obs=obs, dir_cfg=dir_cfg,
+                rec_cfg=rec_cfg, chunk_bytes=chunk_bytes, budget=budget)
     w.pl = dict(pl)
     _run_program(w, dict(state) if state else {})
 
 
 def _init_main(rank: int, nranks: int, registry_addr: tuple,
                program: Callable, arch: Architecture,
-               incarnation: int, fastpath: bool = True,
+               incarnation: int,
                obs: ObsConfig | None = None,
                dir_cfg: DaemonClientConfig | None = None,
                rec_cfg: WorkerRecoveryConfig | None = None,
@@ -1694,50 +1658,41 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
                budget: "_SharedBandwidthBudget | None" = None) -> None:
     _configure_logging()
     w = _Worker(rank, nranks, registry_addr, program, initializing=True,
-                arch=arch, incarnation=incarnation, fastpath=fastpath,
-                obs=obs, dir_cfg=dir_cfg, rec_cfg=rec_cfg,
-                chunk_bytes=chunk_bytes, trace_id=trace_id, budget=budget)
+                arch=arch, incarnation=incarnation, obs=obs,
+                dir_cfg=dir_cfg, rec_cfg=rec_cfg, chunk_bytes=chunk_bytes,
+                trace_id=trace_id, budget=budget)
     # Fig. 7: accept connections from the start; wait for the transfer.
-    # The state arrives either as one legacy ("state", blob) frame or as
-    # an ordered run of ("state_chunk", seq, data, last, total) frames;
-    # either may carry a trailing trace id, adopted when the launcher
-    # did not already hand one down.
+    # The state arrives as an ordered run of ("state_chunk", seq, data,
+    # last, total) frames — a live source's stream, or the single chunk
+    # recover_rank cuts from a checkpoint; transfer frames carry a
+    # trailing trace id, adopted when the launcher did not already hand
+    # one down.
     # A recovery trace roots at the registry's ``recover`` span; a
     # migration's restore hangs under the source's ``transfer``.
     parent = ("recover" if trace_id and trace_id.startswith("rec-")
               else "transfer")
     restore = w._span("restore", **w._tctx(parent))
     recvlist_a = None
-    state_blob = None
-    chunks: list = []
+    asm = ChunkAssembler()
     #: recovery runs park early data frames: their sequence numbers can
     #: only be judged once the restored receive cursors are in place
     deferred: list[tuple] = []
-    while state_blob is None:
+    while not asm.complete:
         item = w.inbox.get(timeout=_CONNECT_TIMEOUT)
         kind, peer, payload = item
-        if kind == "peer" and payload[0] in ("recvlist", "state",
-                                             "state_chunk") \
+        if kind == "peer" and payload[0] in ("recvlist", "state_chunk") \
                 and w.trace_id is None and payload[-1] is not None \
                 and isinstance(payload[-1], str):
             w.trace_id = payload[-1]
         if kind == "peer" and payload[0] == "recvlist":
             recvlist_a = payload[1]
-        elif kind == "peer" and payload[0] == "state":
-            state_blob = payload[1]
         elif kind == "peer" and payload[0] == "state_chunk":
             seq, data, last, total = payload[1:5]
-            if seq != len(chunks):
-                raise ValueError(
-                    f"state chunk {seq} out of order (expected "
-                    f"{len(chunks)}); transfer channel is not FIFO?")
-            chunks.append(data)
-            if last:
-                state_blob = b"".join(chunks)
-                if len(state_blob) != total:
-                    raise ValueError(
-                        f"state stream truncated: got {len(state_blob)} "
-                        f"of {total} bytes")
+            # order/truncation violations raise MigrationError, as in
+            # the simulator; the source architecture is not on the mp
+            # wire — the blob's own header records it
+            asm.add(StateChunk(seq, (data,), len(data), last, total,
+                               src_arch=""))
         elif rec_cfg is not None and kind == "peer" and payload[0] == "data":
             deferred.append(item)
         elif rec_cfg is not None and kind == "replay_nudge":
@@ -1746,6 +1701,7 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
             deferred.append(item)
         else:
             w._dispatch(item)
+    state_blob = asm.assemble()
     state = decode(state_blob)
     ckpt_list: list = []
     if isinstance(state, dict) and state.get(_CKPT_KEY):
@@ -1768,7 +1724,7 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
     for item in deferred:
         w._dispatch(item)
     if restore is not None:
-        restore.close(nbytes=len(state_blob), chunks=len(chunks) or 1,
+        restore.close(nbytes=len(state_blob), chunks=asm.nchunks,
                       **(w._tctx(parent) if not restore.fields.get("trace_id")
                          else {}))
     log.debug("init rank %d: state restored (%d bytes)",
@@ -1853,7 +1809,6 @@ class MPCluster:
                  arch: Architecture = NATIVE,
                  dest_arch: Architecture = NATIVE,
                  directory: "DirectorySpec | str | None" = None,
-                 fastpath: bool = True,
                  obs: "ObsConfig | bool | None" = None,
                  init_states: "list[dict] | None" = None,
                  recovery: "RecoverySpec | bool | str | None" = None,
@@ -1866,9 +1821,6 @@ class MPCluster:
         self.init_states = init_states
         self.arch = arch
         self.dest_arch = dest_arch
-        #: zero-copy framing + chunked state transfer; False reproduces
-        #: the original copy-per-frame wire path (A/B baseline)
-        self.fastpath = fastpath
         #: observability: True / ObsConfig enables event collection and
         #: worker metrics, merged at the registry (see repro.obs)
         self.obs = ObsConfig.coerce(obs)
@@ -1939,21 +1891,17 @@ class MPCluster:
             p = self._ctx.Process(
                 target=_worker_main,
                 args=(rank, self.nranks, self.registry.addr, self.program,
-                      {}, self.arch, self.fastpath, self.obs, state,
-                      dir_cfg, self._rec_cfg, self.chunk_bytes,
-                      self.budget),
+                      {}, self.arch, self.obs, state, dir_cfg,
+                      self._rec_cfg, self.chunk_bytes, self.budget),
                 daemon=True)
             p.start()
             self._procs.append(p)
             self._track(rank, p, "worker")
-        # wait until every rank registered
-        deadline = time.time() + _CONNECT_TIMEOUT
-        while time.time() < deadline:
-            with self.registry._lock:
-                if len(self.registry.locations) == self.nranks:
-                    break
-            time.sleep(0.01)
-        else:
+        # wait until every rank registered (the timeout is a liveness
+        # bound: a healthy start ends on the last ``register``)
+        reg = self.registry
+        if not reg.wait_for(lambda: len(reg.locations) == self.nranks,
+                            _CONNECT_TIMEOUT):
             raise RuntimeError("workers failed to register")
         if self.recovery is not None:
             metrics = (self.registry.collector.metrics
@@ -2110,9 +2058,8 @@ class MPCluster:
         p = self._ctx.Process(
             target=_init_main,
             args=(rank, self.nranks, self.registry.addr, self.program,
-                  self.dest_arch, inc, self.fastpath, self.obs,
-                  self._dir_cfg(), self._rec_cfg, self.chunk_bytes,
-                  trace_id, self.budget),
+                  self.dest_arch, inc, self.obs, self._dir_cfg(),
+                  self._rec_cfg, self.chunk_bytes, trace_id, self.budget),
             daemon=True)
         p.start()
         self._procs.append(p)
@@ -2251,44 +2198,36 @@ class MPCluster:
         p = self._ctx.Process(
             target=_init_main,
             args=(rank, self.nranks, self.registry.addr, self.program,
-                  self.dest_arch, inc, self.fastpath, self.obs,
-                  self._dir_cfg(), self._rec_cfg, self.chunk_bytes,
-                  trace_id, self.budget),
+                  self.dest_arch, inc, self.obs, self._dir_cfg(),
+                  self._rec_cfg, self.chunk_bytes, trace_id, self.budget),
             daemon=True)
         p.start()
         self._procs.append(p)
         self._track(rank, p, "init")
-        deadline = time.time() + _CONNECT_TIMEOUT
-        while time.time() < deadline:
-            with self.registry._lock:
-                addr = self.registry.init_addr.get(rank)
-            if addr is not None:
-                break
-            time.sleep(0.01)
-        else:
+        # (both waits below end on a registry event — register_init,
+        # restore_complete; their timeouts are liveness bounds)
+        reg = self.registry
+        if not reg.wait_for(lambda: rank in reg.init_addr,
+                            _CONNECT_TIMEOUT):
             raise RuntimeError(
                 f"replacement for rank {rank} failed to register")
-        self.registry.set_recovering(rank)
+        reg.set_recovering(rank)
         # ship the checkpoint exactly as a migrating source ships live
-        # state (same frames, same transfer connection)
-        xfer = socket.create_connection(tuple(addr),
+        # state (same frames, same transfer connection): the on-disk
+        # blob is a one-chunk stream
+        xfer = socket.create_connection(tuple(reg.init_addr[rank]),
                                         timeout=_CONNECT_TIMEOUT)
         try:
             send_frame(xfer, ("state_transfer", -1, trace_id))
             send_frame(xfer, ("recvlist", [], trace_id))
-            send_frame(xfer, ("state", blob, trace_id))
+            send_frame(xfer, ("state_chunk", 0, blob, True, len(blob),
+                              trace_id))
         finally:
             xfer.close()
         # wait for restore_complete to flip the record back to running
-        deadline = time.time() + _CONNECT_TIMEOUT
-        while time.time() < deadline:
-            with self.registry._lock:
-                committed = (self.registry.status.get(rank) == "running"
-                             and rank not in self.registry.init_addr)
-            if committed:
-                break
-            time.sleep(0.01)
-        else:
+        if not reg.wait_for(lambda: reg.status.get(rank) == "running"
+                            and rank not in reg.init_addr,
+                            _CONNECT_TIMEOUT):
             raise RuntimeError(f"rank {rank} recovery did not commit")
         self.registry.heartbeats[rank] = time.time()
         seconds = time.time() - t0

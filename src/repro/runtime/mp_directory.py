@@ -63,7 +63,7 @@ from repro.runtime.framing import (
     UnsafeFrame,
     allow_frame_global,
     recv_frame,
-    send_frame_fast,
+    send_frame,
 )
 from repro.util.errors import ProtocolError
 
@@ -192,7 +192,7 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
             with socket.create_connection(tuple(peer_addrs[next_node]),
                                           timeout=CONNECT_TIMEOUT) as conn:
                 conn.settimeout(REPLY_TIMEOUT)
-                send_frame_fast(conn, DirLookup(
+                send_frame(conn, DirLookup(
                     rank=msg.rank, reply_to=msg.reply_to, token=msg.token,
                     hops=msg.hops + 1))
                 reply = recv_frame(conn)
@@ -213,8 +213,7 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
                         if nxt is not None:
                             with lock:
                                 stats["forwards"] += 1
-                            send_frame_fast(conn,
-                                            forward_lookup(nxt, frame))
+                            send_frame(conn, forward_lookup(nxt, frame))
                             continue
                     with lock:
                         stats["lookups"] += 1
@@ -222,7 +221,7 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
                                               frame.token, frame.hops)
                         if reply.status == "unknown":
                             stats["unknown"] += 1
-                    send_frame_fast(conn, reply)
+                    send_frame(conn, reply)
                 elif isinstance(frame, DirUpdate):
                     rec = (frame.status, frame.vmid, frame.init_vmid,
                            frame.version)
@@ -241,7 +240,7 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
                         else:
                             stats["updates_ignored"] += 1
                         held = records[frame.rank][3]
-                    send_frame_fast(conn, DirUpdateAck(
+                    send_frame(conn, DirUpdateAck(
                         rank=frame.rank, version=held, node=node_id))
                 elif frame[0] == "records":
                     ranks = frame[1]
@@ -251,15 +250,14 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
                         else:
                             out = {r: records[r] for r in ranks
                                    if r in records}
-                    send_frame_fast(conn, ("records", out))
+                    send_frame(conn, ("records", out))
                 elif frame[0] == "stats":
                     with lock:
-                        send_frame_fast(conn,
-                                        ("stats", node_id, dict(stats)))
+                        send_frame(conn, ("stats", node_id, dict(stats)))
                 elif frame[0] == "ping":
-                    send_frame_fast(conn, ("pong", node_id))
+                    send_frame(conn, ("pong", node_id))
                 elif frame[0] == "shutdown":
-                    send_frame_fast(conn, ("bye", node_id))
+                    send_frame(conn, ("bye", node_id))
                     # graceful leave: flush the reply, then exit hard —
                     # other serve threads hold no state worth unwinding
                     conn.close()
@@ -527,7 +525,7 @@ class DirectoryDaemonHost:
                 with socket.create_connection(
                         tuple(addr), timeout=CONNECT_TIMEOUT) as conn:
                     conn.settimeout(REPLY_TIMEOUT)
-                    send_frame_fast(conn, ("stats",))
+                    send_frame(conn, ("stats",))
                     _kind, _nid, stats = recv_frame(conn)
                 return int(stats.get("replayed", 0))
             except (OSError, FrameClosed, UnsafeFrame, ValueError):
@@ -628,7 +626,7 @@ class DirectoryDaemonHost:
                     conn = socket.create_connection(
                         tuple(addr), timeout=CONNECT_TIMEOUT)
                     conn.settimeout(ACK_TIMEOUT)
-                send_frame_fast(conn, upd)
+                send_frame(conn, upd)
                 ack = recv_frame(conn)
                 if isinstance(ack, DirUpdateAck) and ack.rank == upd.rank \
                         and ack.version >= upd.version:
@@ -715,7 +713,7 @@ class DirectoryDaemonHost:
             with socket.create_connection(tuple(addr),
                                           timeout=CONNECT_TIMEOUT) as conn:
                 conn.settimeout(REPLY_TIMEOUT)
-                send_frame_fast(conn, ("records", [rank]))
+                send_frame(conn, ("records", [rank]))
                 kind, recs = recv_frame(conn)
             if kind == "records" and rank in recs:
                 return recs[rank][3]
@@ -814,7 +812,7 @@ class DirectoryDaemonHost:
                 with socket.create_connection(
                         tuple(addr), timeout=CONNECT_TIMEOUT) as c:
                     c.settimeout(REPLY_TIMEOUT)
-                    send_frame_fast(c, ("shutdown",))
+                    send_frame(c, ("shutdown",))
                     recv_frame(c)
             except (OSError, FrameClosed, UnsafeFrame, ValueError):
                 pass
@@ -858,7 +856,7 @@ class DirectoryDaemonHost:
                 with socket.create_connection(
                         tuple(addr), timeout=CONNECT_TIMEOUT) as conn:
                     conn.settimeout(REPLY_TIMEOUT)
-                    send_frame_fast(conn, ("stats",))
+                    send_frame(conn, ("stats",))
                     _kind, _nid, stats = recv_frame(conn)
                 out[node_id] = stats
             except (OSError, FrameClosed, UnsafeFrame, ValueError):
@@ -873,7 +871,7 @@ class DirectoryDaemonHost:
         with socket.create_connection(tuple(addr),
                                       timeout=CONNECT_TIMEOUT) as conn:
             conn.settimeout(REPLY_TIMEOUT)
-            send_frame_fast(conn, ("records", ranks))
+            send_frame(conn, ("records", ranks))
             _kind, recs = recv_frame(conn)
         return recs
 
@@ -1023,8 +1021,8 @@ class MPDirectoryClient:
                     conn = socket.create_connection(
                         addr, timeout=self.connect_timeout)
                     conn.settimeout(self.reply_timeout)
-                send_frame_fast(conn, DirLookup(rank=rank, reply_to=None,
-                                                token=token))
+                send_frame(conn, DirLookup(rank=rank, reply_to=None,
+                                           token=token))
                 reply = recv_frame(conn)
                 if isinstance(reply, LookupReply) and reply.token == token:
                     self._conns[node] = conn

@@ -29,7 +29,7 @@ from repro.core.messages import LookupReply
 from repro.directory.hashring import HashRing
 from repro.directory.messages import DirLookup
 from repro.directory.spec import DirectorySpec
-from repro.runtime.framing import FrameClosed, recv_frame, send_frame_fast
+from repro.runtime.framing import FrameClosed, recv_frame, send_frame
 from repro.runtime.mp_directory import (
     DaemonClientConfig,
     DirectoryDaemonHost,
@@ -87,7 +87,7 @@ class ScriptedShard:
                 else:
                     reply = LookupReply(msg.rank, "running", addr,
                                         msg.token, hops=msg.hops)
-                send_frame_fast(conn, reply)
+                send_frame(conn, reply)
         except (FrameClosed, OSError):
             pass
         finally:

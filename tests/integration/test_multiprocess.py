@@ -108,22 +108,6 @@ def test_mp_sender_migration():
     assert results[1]["got"] == list(range(80))
 
 
-def test_mp_migration_legacy_wire_path():
-    """fastpath=False keeps the original copy-per-frame wire path working
-    (single ("state", blob) frame, no chunking) — the A/B baseline."""
-    cluster = MPCluster(_pingpong, nranks=2, fastpath=False)
-    try:
-        cluster.start()
-        time.sleep(0.1)
-        cluster.migrate(1)
-        results = cluster.join(timeout=60)
-    finally:
-        cluster.terminate()
-    assert results[0]["rounds"] == 60
-    assert results[1]["rounds"] == 60
-    assert len(results[1]["pids"]) == 2
-
-
 def test_mp_heterogeneous_state_encoding():
     """State crosses the process boundary encoded big-endian (SPARC) and
     is restored on a 'different architecture' (little-endian) — the

@@ -13,20 +13,27 @@ on the surviving receiver.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import time
 
 import pytest
 
+from repro.codec import decode
 from repro.recovery import RecoverySpec, RestartPolicy
 from repro.runtime import MPCluster
 
 COUNT = 40
 
 
+def _state_digest(state: dict) -> str:
+    return hashlib.sha256(repr(sorted(state.items())).encode()).hexdigest()
+
+
 def _relay(api, state):
     """rank 0 -> rank 1 -> rank 2, tagged so receives are deterministic."""
+    entered_with = _state_digest(state)
     i = state.get("i", 0)
     if api.rank == 0:
         while i < COUNT:
@@ -43,7 +50,8 @@ def _relay(api, state):
             state["i"] = i
             api.compute(0.002)
             api.poll_migration(state)
-        return {"relayed": i, "incarnation": api.incarnation}
+        return {"relayed": i, "incarnation": api.incarnation,
+                "entered_with": entered_with}
     got = state.setdefault("got", [])
     while i < COUNT:
         got.append(api.recv(src=1, tag=i).body)
@@ -64,19 +72,34 @@ def _wait_for_checkpoint(cluster, rank, version, timeout=20.0):
     raise AssertionError(f"rank {rank} never reached ckpt v{version}")
 
 
-def test_rank_recovers_from_checkpoint():
+def test_rank_recovers_from_checkpoint(tmp_path):
+    # an explicit dir outlives join(), so the blobs can be inspected
     cluster = MPCluster(_relay, nranks=3, obs=True,
-                        recovery=RecoverySpec(checkpoint_every=2))
+                        recovery=RecoverySpec(checkpoint_every=2,
+                                              dir=str(tmp_path)))
     try:
         cluster.start()
         _wait_for_checkpoint(cluster, 1, 2)
         cluster.kill_rank(1)
         results = cluster.join(timeout=60)
+        restores = [e for e in cluster.obs_events()
+                    if e["kind"] == "span_end" and e["phase"] == "restore"]
+        store = cluster.checkpoint_store()
+        on_disk = {v: store.load_blob(1, v) for v in store.versions(1)}
     finally:
         cluster.terminate()
     # exactly once, in order, despite the mid-stream SIGKILL
     assert results[2]["got"] == list(range(COUNT))
     assert results[1]["incarnation"] == 1  # the replacement finished
+    # the checkpoint crossed as a one-chunk state stream, and what the
+    # replacement resumed from is digest-identical to a blob on disk
+    (restore,) = restores
+    assert restore["rank"] == 1 and restore["chunks"] == 1
+    assert restore["trace_id"].startswith("rec-")
+    assert any(len(blob) == restore["nbytes"]
+               and _state_digest(decode(blob)["state"])
+               == results[1]["entered_with"]
+               for blob in on_disk.values())
     rep = cluster.recovery_report()
     assert rep["restarts"] == 1 and not rep["permanent_failures"]
     assert rep["events"][0]["kind"] == "rank"

@@ -58,12 +58,12 @@ def test_restore_selects_newest_complete_version(tmp_path_factory,
         if kind == "truncate":
             path.write_bytes(data[:max(0, len(data) - amount)])
         elif kind == "flip":
-            # Flip past the 6-byte magic: CRC/length/payload damage is
-            # guaranteed detectable. (A flip *inside* the magic demotes
-            # the blob to the uncheckable legacy format by design.)
-            if len(data) <= 6:
-                continue  # already a detectable torn prefix
-            pos = 6 + (amount % (len(data) - 6))
+            # Any byte: magic, CRC, length or payload — every one of
+            # them must make the version unrestorable (amounts 1..6 land
+            # inside the magic).
+            if not data:
+                continue  # already truncated to nothing
+            pos = (amount - 1) % len(data)
             mutated = bytearray(data)
             mutated[pos] ^= 0xFF
             path.write_bytes(bytes(mutated))

@@ -23,7 +23,6 @@ from repro.runtime.framing import (
     recv_frame,
     restricted_loads,
     send_frame,
-    send_frame_fast,
 )
 
 
@@ -125,13 +124,13 @@ def test_clean_eof_raises_frame_closed():
         b.close()
 
 
-# -- fast path: same wire format, fewer copies ------------------------------
+# -- one wire format across every sender/reader pairing ---------------------
 
-def test_fast_send_legacy_recv_interop():
+def test_scatter_gather_send_one_shot_recv_interop():
     a, b = _pair()
     try:
         obj = ("data", 0, 7, b"x" * 100_000)
-        t = threading.Thread(target=send_frame_fast, args=(a, obj))
+        t = threading.Thread(target=send_frame, args=(a, obj))
         t.start()
         assert recv_frame(b) == obj
         t.join()
@@ -140,7 +139,7 @@ def test_fast_send_legacy_recv_interop():
         b.close()
 
 
-def test_legacy_send_fast_recv_interop():
+def test_small_send_streamed_recv_interop():
     a, b = _pair()
     try:
         obj = {"k": [1, 2, 3], "blob": b"\xff" * 1000}
@@ -160,7 +159,7 @@ def test_frame_reader_many_frames_one_buffer():
 
         def feed():
             for f in frames:
-                send_frame_fast(a, f)
+                send_frame(a, f)
             a.close()
 
         t = threading.Thread(target=feed)
@@ -180,7 +179,7 @@ def test_frame_reader_grows_past_initial_buffer():
     a, b = _pair()
     try:
         obj = ("state_chunk", 0, b"z" * 300_000, True, 300_000)
-        t = threading.Thread(target=send_frame_fast, args=(a, obj))
+        t = threading.Thread(target=send_frame, args=(a, obj))
         t.start()
         assert FrameReader(b, bufsize=1024).read_frame() == obj
         t.join()
@@ -227,7 +226,7 @@ def test_batcher_coalesces_and_stays_parseable():
 
         t = threading.Thread(target=feed)
         t.start()
-        # legacy receiver: the coalesced stream is byte-identical
+        # one-shot receiver: the coalesced stream is byte-identical
         got = [recv_frame(b) for _ in range(len(frames))]
         assert got == frames
         t.join()

@@ -7,7 +7,6 @@ from repro.core.messages import (
     ChannelHello,
     DataMessage,
     EndOfMessage,
-    ExeMemState,
     PeerMigrating,
     RecvListTransfer,
 )
@@ -34,9 +33,8 @@ def test_control_payloads_marked():
     assert ChannelHello(0).protocol_control
     assert PeerMigrating(0).protocol_control
     assert EndOfMessage(0).protocol_control
-    # state transfers are NOT droppable control
+    # the received-message-list transfer is NOT droppable control
     assert not getattr(RecvListTransfer([], 0), "protocol_control", False)
-    assert not getattr(ExeMemState(b"", 0, "x"), "protocol_control", False)
 
 
 def test_sent_at_defaults_to_zero():

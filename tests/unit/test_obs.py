@@ -422,17 +422,6 @@ def test_gauge_merge_equal_stamps_keep_max():
 
 # -- live streaming and trace grouping at the collector --------------------
 
-def test_collector_absorbs_legacy_5tuple_as_final():
-    reg = MetricsRegistry()
-    reg.gauge("mp.queue_depth", rank=1).set(3)
-    collector = RegistryCollector()
-    collector.absorb(("obs", 1, "p1",
-                      [(1.0, "mark", {"text": "hi"})], reg.snapshot()))
-    assert collector.metrics.gauge("mp.queue_depth", rank=1).value == 3
-    assert collector.live_view() == {}  # final, not live
-    assert collector.events()[0]["kind"] == "mark"
-
-
 def test_live_snapshot_feeds_live_view_not_metrics():
     frames = []
     obs = WorkerObs(ObsConfig(), rank=1, actor="p1",

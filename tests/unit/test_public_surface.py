@@ -1,0 +1,40 @@
+"""The public knobs, pinned: a new parameter is a reviewed diff.
+
+ROADMAP aim 2 is "one way to do each thing, and fewer knobs". Every
+parameter of the five entry points below doubles what tests and
+benchmarks must cover, so the set is literal here — adding one means
+editing this file, in the open, with the caller that needs it.
+"""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from repro import Application
+from repro.codec import decode, encode
+from repro.core.endpoint import MigrationEndpoint
+from repro.runtime import MPCluster
+
+EXPECTED = {
+    encode: {"obj", "arch"},
+    decode: {"data"},
+    Application: {
+        "vm", "program", "placement", "scheduler_host", "architectures",
+        "migratable", "name", "checkpoint_store", "restore_version",
+        "transport", "retry", "drain_timeout", "migration_retry_limit",
+        "directory", "chunk_bytes", "migration_concurrency"},
+    MigrationEndpoint: {
+        "ctx", "rank", "scheduler_vmid", "pl", "arch", "migration_enabled",
+        "initializing", "transport", "retry_policy", "drain_timeout",
+        "directory_client", "chunk_bytes", "bandwidth_budget", "trace_id"},
+    MPCluster: {
+        "program", "nranks", "arch", "dest_arch", "directory", "obs",
+        "init_states", "recovery", "chunk_bytes", "migration_concurrency"},
+}
+
+
+@pytest.mark.parametrize("entry", EXPECTED, ids=lambda f: f.__name__)
+def test_signature_has_exactly_the_expected_parameters(entry):
+    assert set(inspect.signature(entry).parameters) == EXPECTED[entry]

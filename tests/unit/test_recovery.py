@@ -175,10 +175,18 @@ def test_store_restore_skips_corrupt_blob(tmp_path):
     assert store.latest_complete_version(0) == 1
 
 
-def test_store_legacy_headerless_blob_still_loads(tmp_path):
+def test_store_rejects_file_without_integrity_header(tmp_path):
+    """A bit flip inside the magic must not turn header + payload into
+    an accepted restore point: restore walks back instead."""
     store = CheckpointStore(tmp_path)
-    (tmp_path / "ckpt-r0-v1.bin").write_bytes(b"pre-header blob")
-    assert store.load_blob(0, 1) == b"pre-header blob"
+    store.save_blob(0, 1, b"good")
+    store.save_blob(0, 2, b"magic-damaged-later")
+    path = tmp_path / "ckpt-r0-v2.bin"
+    data = bytearray(path.read_bytes())
+    data[0] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(ReproError, match="no integrity header"):
+        store.load_blob(0, 2)
     assert store.latest_complete_version(0) == 1
 
 
