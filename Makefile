@@ -1,7 +1,7 @@
 # Developer entry points. Everything runs against the in-tree sources.
 export PYTHONPATH := src
 
-.PHONY: test fast stress bench bench-directory bench-fastpath bench-recovery bench-gang bench-quick bench-e2e obs-smoke obs-svg shard-smoke recovery-smoke gang-smoke
+.PHONY: test fast stress bench bench-directory bench-fastpath bench-recovery bench-gang bench-quick bench-e2e bench-pairs obs-smoke obs-svg shard-smoke recovery-smoke gang-smoke
 
 test:   ## tier-1 verify: the full suite (virtual time keeps it quick)
 	python -m pytest -x -q
@@ -32,6 +32,9 @@ bench-quick: ## wall-clock benchmark smoke (<= 20 s): every metric BENCHMARK.jso
 
 bench-e2e: ## the wall-clock end-to-end metrics as the driver runs them (~55 s; see bench/README.md)
 	python3 bench/run.py --workload homogeneous --seed 1 --seconds 40 --trace 0
+
+bench-pairs: ## alternating parent/change runs with the per-metric verdict: make bench-pairs PARENT=<rev> [N=10] [WORKLOAD=homogeneous] (~2 min per pair)
+	python3 tools/bench_pairs.py --parent $(PARENT) --pairs $(or $(N),10) --workload $(or $(WORKLOAD),homogeneous)
 
 obs-smoke: ## real mp migration with event collection on; validates the JSONL artifact and its space-time SVG
 	REPRO_OBS_SMOKE=1 python -m pytest tests/integration/test_obs_mp.py -q

@@ -23,10 +23,20 @@ source host and :func:`decode` on the destination.
 
 The encoder appends array buffers and nested node bodies as zero-copy
 parts (one final join, or none at all via :func:`encode_parts`, which
-the chunked migration pipeline slices into ``state_chunk`` frames); the
-decoder reads through ``memoryview`` slices with one whole-buffer
-byte-order conversion per array. The wire bytes are pinned by the golden
-fixtures and by the scalar oracle in ``tests/helpers/reference_codec.py``.
+the chunked migration pipeline slices into chunk frames); the decoder
+reads through ``memoryview`` slices. It has two entry points over one
+``_Decoder`` that differ only at the ndarray node:
+
+* :func:`decode` is **pure**: the input is never mutated and every array
+  is an owned native-order copy (one ``astype`` pass per array). The
+  simulator and the checkpoint store use it.
+* :func:`decode_owned` **consumes** a writable buffer the caller gives
+  up — the mp runtime's receive buffer: native-order arrays come back as
+  writable views over it (no copy at all), foreign-order arrays are
+  byte-swapped in place, once, and viewed in native order.
+
+The wire bytes are pinned by the golden fixtures and by the scalar oracle
+in ``tests/helpers/reference_codec.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +49,8 @@ from repro.codec.arch import NATIVE, Architecture
 from repro.codec.xdr import Reader, Writer
 from repro.util.errors import CodecError
 
-__all__ = ["encode", "encode_parts", "decode", "encoded_size", "peek_arch"]
+__all__ = ["encode", "encode_parts", "decode", "decode_owned",
+           "encoded_size", "peek_arch"]
 
 _MAGIC = b"SNOWMEM1"
 
@@ -321,7 +332,8 @@ class _Encoder:
             # comes from the cache as one bytes object; the payload view
             # splices in zero-copy — two appends total
             w.put(_ndarray_header(obj.dtype, obj.shape, payload.nbytes))
-            w.put_buffer(memoryview(payload).cast("B"))
+            # (flattened first: memoryview cannot cast an empty n-d shape)
+            w.put_buffer(memoryview(payload.reshape(-1)).cast("B"))
         else:  # pragma: no cover - guarded by _NODE_TYPES
             raise CodecError(f"not a node type: {type(obj).__name__}")
 
@@ -375,7 +387,7 @@ def encode_parts(obj: Any, arch: Architecture = NATIVE) -> list:
     """Encode *obj* into a list of bytes-like parts without joining.
 
     ``b"".join(parts)`` equals ``encode(obj, arch)`` exactly. The chunked
-    migration pipeline slices these parts into ``state_chunk`` frames, so
+    migration pipeline slices these parts into chunk frames, so
     a multi-megabyte array buffer is never copied into one flat blob on
     the source host. Parts may be ``memoryview`` objects pinning live
     array buffers — consume them before mutating the encoded state.
@@ -397,8 +409,10 @@ def peek_arch(data) -> Architecture:
 
 
 class _Decoder:
-    def __init__(self, node_blobs: list, arch: Architecture):
+    def __init__(self, node_blobs: list, arch: Architecture, owned: bool):
         self.arch = arch
+        #: arrays may alias (and byte-swap) the blob instead of copying
+        self.owned = owned
         self.blobs = node_blobs
         self.shells: list[Any] = [None] * len(node_blobs)
         self.filled = [False] * len(node_blobs)
@@ -492,13 +506,18 @@ class _Decoder:
             dtype = self._read_dtype(r)
             ndim = r.varint()
             shape = tuple(r.varint() for _ in range(ndim))
-            # frombuffer wraps the zero-copy view without copying; astype
-            # does the single vectorized byte-order conversion into
-            # freshly owned native memory
+            # frombuffer wraps the zero-copy view without copying
             arr = np.frombuffer(r.raw_view(), dtype=dtype).reshape(shape)
-            # convert to the *native* byte order of the decoding machine;
-            # astype (not ascontiguousarray) keeps 0-dim shapes intact
-            self.shells[nid] = arr.astype(dtype.newbyteorder("="))
+            # convert to the *native* byte order of the decoding machine
+            native = dtype.newbyteorder("=")
+            if not self.owned:
+                # the single vectorized conversion into freshly owned
+                # memory; astype (not ascontiguousarray) keeps 0-dim
+                # shapes intact
+                arr = arr.astype(native)
+            elif not dtype.isnative:
+                arr = arr.byteswap(inplace=True).view(native)
+            self.shells[nid] = arr
         else:  # pragma: no cover
             raise CodecError(f"bad node kind {kind}")
 
@@ -506,10 +525,33 @@ class _Decoder:
 def decode(data) -> Any:
     """Decode a blob produced by :func:`encode` (on any architecture).
 
-    Accepts ``bytes``, ``bytearray`` or ``memoryview``; node payloads are
-    never copied out of *data* until the final per-array native-order
-    conversion.
+    Accepts ``bytes``, ``bytearray`` or ``memoryview``. Pure: *data* is
+    left byte-identical, and node payloads are never copied out of it
+    until the final per-array native-order conversion into owned memory.
     """
+    return _decode(data, owned=False)
+
+
+def decode_owned(buf) -> Any:
+    """Decode a blob, taking ownership of the writable buffer holding it.
+
+    The consuming twin of :func:`decode` for a caller that will never
+    read *buf* as a blob again (the mp destination's receive buffer):
+    every ndarray comes back as a **writable view over** *buf* — native
+    source order costs no copy, a foreign order one in-place ``byteswap``
+    — so *buf* lives as long as the longest-lived restored array and its
+    bytes no longer decode afterwards. Array payloads sit at whatever
+    offset the encoding put them, so the views may be unaligned; numpy
+    handles that on every supported platform. Everything that is not an
+    ndarray is built exactly as :func:`decode` builds it.
+    """
+    mv = memoryview(buf)
+    if mv.readonly:
+        raise CodecError("decode_owned needs a writable buffer")
+    return _decode(mv, owned=True)
+
+
+def _decode(data, owned: bool) -> Any:
     src_arch = peek_arch(data)
     mv = data if isinstance(data, memoryview) else memoryview(data)
     r = Reader(mv[8:], src_arch)
@@ -519,7 +561,7 @@ def decode(data) -> Any:
     nblobs = r.varint()
     blobs = [r.raw_view() for _ in range(nblobs)]
     root_blob = r.raw_view()
-    dec = _Decoder(blobs, src_arch)
+    dec = _Decoder(blobs, src_arch, owned)
     root_reader = Reader(root_blob, src_arch)
     value = dec.read_value(root_reader)
     if not root_reader.exhausted:

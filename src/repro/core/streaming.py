@@ -4,12 +4,18 @@ The paper's Tables 1-2 show migration cost dominated by three sequential
 stages: collect the machine-independent state, ship it, restore it. This
 module turns that sequence into a pipeline: :class:`ChunkSource` slices
 the zero-copy part list from :func:`repro.codec.encode_parts` into
-``state_chunk`` frames that the migrating process collects-and-sends one
+chunk frames that the migrating process collects-and-sends one
 at a time — interleaved with the channel drain, and with the network and
 the destination's restore work proceeding concurrently in virtual time.
-:class:`ChunkAssembler` is the destination side: it absorbs chunks as they
-arrive (charging restore cost per chunk) and joins the payload exactly
-once when the last chunk lands.
+:class:`ChunkAssembler` is the destination side: it checks every chunk
+as it arrives (order, completeness, the announced total) and puts the
+payload where restore wants it. In the simulator the parts are already
+in memory, are kept by reference (restore cost charged per chunk) and
+joined exactly once when the last chunk lands. On a real socket the
+first chunk's ``total_nbytes`` preallocates one receive buffer and each
+payload is received straight into its offset — the named-chunk-under-a-
+manifest discipline: the object is laid out before its bytes come, so
+there is nothing to join and restore overlaps transfer.
 
 Chunk sizing is a *policy*: the source slices lazily, asking its size
 provider — a fixed integer, or anything with a ``next_size()`` method
@@ -18,9 +24,10 @@ such as :class:`repro.core.adaptive.ChunkController` — how large the
 feeds per-chunk ship latencies back between cuts, so a slow link gets
 small pipeline-friendly chunks and a fast one gets large amortized ones.
 
-``assemble()`` returns exactly the bytes ``encode(state, arch)``
-produces: chunk *boundaries* never affect the assembled bytes — only the
-framing — so the decoded state cannot depend on the chunk size.
+``assemble()`` and the receive buffer hold exactly the bytes
+``encode(state, arch)`` produces: chunk *boundaries* never affect the
+assembled bytes — only the framing — so the decoded state cannot depend
+on the chunk size.
 
 Chunks ride the same reliable FIFO transfer channel as the
 received-message-list, and they are *protocol-control* payloads: when a
@@ -32,7 +39,9 @@ fresh channel), so Theorem 2's no-data-loss check is unaffected.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 from repro.codec import Architecture, encode_parts
 from repro.core.messages import StateChunk
@@ -156,15 +165,36 @@ class ChunkSource:
                           src_arch=self.arch.name)
 
 
+def _truncation(got: int, total_nbytes: int | None,
+                nchunks: int) -> MigrationError:
+    total = "an unannounced number" if total_nbytes is None else total_nbytes
+    return MigrationError(
+        f"state stream truncated: got {got} of {total} bytes in "
+        f"{nchunks} chunks")
+
+
 class ChunkAssembler:
     """Destination-side reassembly of a :class:`ChunkSource` stream.
 
-    The transfer channel is FIFO, so chunks arrive in sequence; a gap or
-    duplicate means a protocol bug, not a network condition, and raises.
+    The transfer channel is FIFO, so chunks arrive in sequence; a gap,
+    a duplicate or a byte count that disagrees with the announced total
+    means a protocol bug or a hostile peer, not a network condition, and
+    raises :class:`MigrationError`. The same checks guard both ways a
+    payload can arrive:
+
+    * :meth:`add` — the chunk's parts are already in memory (the
+      simulator hands them over by reference); they are kept as a part
+      list and :meth:`assemble` joins them exactly once.
+    * :meth:`receive` — the payload is still on a socket (the mp
+      runtime). The first header's ``total_nbytes`` preallocates one
+      receive buffer, every payload is written straight into its offset,
+      and :attr:`buffer` hands the filled buffer over — there is no join,
+      and ``repro.codec.decode_owned`` restores arrays as views over it.
     """
 
     def __init__(self) -> None:
         self._parts: list = []
+        self._buf: "np.ndarray | None" = None
         self.nbytes = 0
         self.nchunks = 0
         self.complete = False
@@ -173,28 +203,92 @@ class ChunkAssembler:
         #: virtual seconds of restore cost charged while absorbing chunks
         self.restore_seconds = 0.0
 
-    def add(self, chunk: StateChunk) -> None:
+    def _admit(self, seq: int, nbytes: int, last: bool,
+               total_nbytes: int) -> None:
+        """The order / completeness checks, run before a payload is
+        accepted."""
         if self.complete:
             raise MigrationError(
-                f"state chunk {chunk.seq} after the stream completed")
-        if chunk.seq != self.nchunks:
+                f"state chunk {seq} after the stream completed")
+        if seq != self.nchunks:
             raise MigrationError(
-                f"state chunk out of order: got {chunk.seq}, "
+                f"state chunk out of order: got {seq}, "
                 f"expected {self.nchunks}")
-        self._parts.extend(chunk.parts)
-        self.nbytes += chunk.nbytes
+        if last and total_nbytes != self.nbytes + nbytes:
+            raise _truncation(self.nbytes + nbytes, total_nbytes,
+                              self.nchunks + 1)
+
+    def _advance(self, nbytes: int, last: bool, total_nbytes: int) -> None:
+        self.nbytes += nbytes
         self.nchunks += 1
-        if chunk.last:
-            if chunk.total_nbytes != self.nbytes:
-                raise MigrationError(
-                    f"state stream truncated: got {self.nbytes} bytes, "
-                    f"header said {chunk.total_nbytes}")
-            self.total_nbytes = chunk.total_nbytes
-            self.src_arch = chunk.src_arch
+        if last:
+            self.total_nbytes = total_nbytes
             self.complete = True
 
+    def truncated(self, partial: int = 0) -> MigrationError:
+        """The error for a stream that stopped before its ``last`` chunk,
+        *partial* bytes into the chunk after the last whole one."""
+        return _truncation(self.nbytes + partial, self.total_nbytes,
+                           self.nchunks)
+
+    def add(self, chunk: StateChunk) -> None:
+        self._admit(chunk.seq, chunk.nbytes, chunk.last, chunk.total_nbytes)
+        self._parts.extend(chunk.parts)
+        self._advance(chunk.nbytes, chunk.last, chunk.total_nbytes)
+        if chunk.last:
+            self.src_arch = chunk.src_arch
+
     def assemble(self) -> bytes:
-        """Join the received parts into the full blob (the one copy)."""
+        """Join the parts handed to :meth:`add` into the full blob (the
+        one copy)."""
         if not self.complete:
             raise MigrationError("state stream incomplete")
         return b"".join(self._parts)
+
+    def receive(self, seq: int, nbytes: int, last: bool, total_nbytes: int,
+                fill: Callable[[memoryview], None]) -> None:
+        """Admit one chunk header from the wire, then have *fill* write
+        the chunk's *nbytes* payload into its place in the receive
+        buffer.
+
+        Every check runs before *fill* is called: field types, order,
+        the total staying what the first header said, the payload ending
+        inside the buffer, and — on the first header — that the buffer
+        can be allocated at all. If *fill* raises (the connection closed
+        mid-payload), the chunk is not counted.
+        """
+        for name, value in (("seq", seq), ("nbytes", nbytes),
+                            ("total_nbytes", total_nbytes)):
+            if type(value) is not int or value < 0:
+                raise MigrationError(
+                    f"bad state chunk header: {name}={value!r}")
+        if type(last) is not bool:
+            raise MigrationError(f"bad state chunk header: last={last!r}")
+        self._admit(seq, nbytes, last, total_nbytes)
+        if self._buf is not None and total_nbytes != self.total_nbytes:
+            raise MigrationError(
+                f"state chunk {seq} announces {total_nbytes} total bytes, "
+                f"the stream began with {self.total_nbytes}")
+        if self.nbytes + nbytes > total_nbytes:
+            raise MigrationError(
+                f"state chunk {seq} runs past the announced total: "
+                f"{self.nbytes} + {nbytes} > {total_nbytes} bytes")
+        if self._buf is None:
+            try:
+                # numpy's allocator advises huge pages for large blocks:
+                # fresh-page faults are what receiving costs
+                self._buf = np.empty(total_nbytes, dtype=np.uint8)
+            except (MemoryError, ValueError, OverflowError) as exc:
+                raise MigrationError(
+                    f"cannot allocate a {total_nbytes}-byte state buffer: "
+                    f"{exc}") from None
+            self.total_nbytes = total_nbytes
+        fill(memoryview(self._buf)[self.nbytes:self.nbytes + nbytes])
+        self._advance(nbytes, last, total_nbytes)
+
+    @property
+    def buffer(self) -> "np.ndarray":
+        """The filled receive buffer (uint8, writable), once complete."""
+        if not self.complete or self._buf is None:
+            raise MigrationError("state stream incomplete")
+        return self._buf

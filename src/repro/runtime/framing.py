@@ -3,36 +3,48 @@
 The multiprocess backend's wire format: a 4-byte big-endian length
 followed by a pickled header/payload tuple. TCP gives the FIFO, reliable,
 connection-oriented channel the protocols assume (paper Section 2.3 lists
-TCP explicitly as a suitable substrate). Migration *state* payloads are
-not pickled Python objects but opaque byte blobs produced by the
-machine-independent codec — the pickle layer here plays the role PVM's
-own wire encoding played, while heterogeneity of process state is handled
-by :mod:`repro.codec`.
+TCP explicitly as a suitable substrate). The pickle layer here plays the
+role PVM's own wire encoding played, while heterogeneity of process state
+is handled by :mod:`repro.codec`.
 
 Deserialization is **restricted**: control frames are built from a small
 closed vocabulary (tuples, dicts, strings, numbers, byte blobs), so
-:func:`recv_frame` uses an allowlist unpickler that refuses to
-reconstruct anything else. A peer that injects a frame naming any other
-class — the classic ``__reduce__`` → ``os.system`` pickle gadget — gets
+every reader uses an allowlist unpickler that refuses to reconstruct
+anything else. A peer that injects a frame naming any other class — the
+classic ``__reduce__`` → ``os.system`` pickle gadget — gets
 :class:`UnsafeFrame` instead of code execution. Application *data*
 payloads travel inside frames too and are therefore limited to the same
-plain-data vocabulary; structured process state crosses the wire as
-opaque codec bytes, never as pickled objects.
+plain-data vocabulary.
+
+Migration *state* is neither pickled nor framed: a frame may **announce
+a raw payload** — its pickled tuple carries the byte count, and that many
+unframed bytes follow it on the stream. :meth:`FrameBatcher.add_raw`
+stages the announcing frame plus the payload's buffers (the codec's
+``memoryview`` parts, handed to ``sendmsg`` as iovecs — nothing is joined
+or pickled), and :meth:`FrameReader.read_raw_into` delivers the payload
+into a writable view the caller supplies (its read-ahead first, then
+``recv_into`` the target directly). The announcing frame is an ordinary
+pickled frame, so it passes the allowlist unpickler; raw payload bytes
+never reach any unpickler. Which frames announce a payload is the
+caller's protocol (mp's ``("chunk", seq, nbytes, last, total_nbytes)``,
+see docs/protocol.md) — this module only moves the bytes.
 
 Per-frame copies are avoided where they cost: :func:`send_frame`
 scatter-gathers the header and a large payload through ``sendmsg``
 instead of concatenating them, :class:`FrameBatcher` coalesces small
-frames into one ``sendmsg``, and :class:`FrameReader` fills one reusable
-buffer with ``recv_into``. :func:`recv_frame` is the one-shot reader for
-handshakes and request/reply exchanges — it never reads past its frame,
-so the socket can be handed to a :class:`FrameReader` afterwards. All of
-them speak the same wire format and every read goes through the same
+frames into one ``sendmsg`` (never more than :data:`IOV_CAP` buffers per
+call), and :class:`FrameReader` fills one reusable buffer with
+``recv_into``. :func:`recv_frame` is the one-shot reader for handshakes
+and request/reply exchanges — it never reads past its frame, so the
+socket can be handed to a :class:`FrameReader` afterwards. All of them
+speak the same wire format and every pickled byte goes through the same
 allowlist unpickler.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import pickle
 import socket
 import struct
@@ -40,11 +52,26 @@ from typing import Any
 
 __all__ = ["send_frame", "recv_frame", "FrameReader",
            "FrameBatcher", "FrameStats", "FrameClosed", "UnsafeFrame",
-           "restricted_loads", "allow_frame_global", "ALLOWED_GLOBALS"]
+           "restricted_loads", "allow_frame_global", "ALLOWED_GLOBALS",
+           "MAX_FRAME", "IOV_CAP"]
 
 _HDR = struct.Struct(">I")
-#: refuse absurd frames (corrupt stream guard)
+#: refuse absurd frames and announced raw payloads (corrupt stream guard)
 MAX_FRAME = 256 * 1024 * 1024
+
+
+def _iov_cap() -> int:
+    try:
+        iov_max = os.sysconf("SC_IOV_MAX")
+    except (AttributeError, ValueError, OSError):
+        iov_max = -1
+    # 16 is POSIX's guaranteed minimum (_XOPEN_IOV_MAX)
+    return max(1, (iov_max if iov_max > 0 else 16) // 2)
+
+
+#: most buffers one ``sendmsg`` call is handed — safely under the
+#: kernel's IOV_MAX, past which the call fails with ``EMSGSIZE``
+IOV_CAP = _iov_cap()
 
 #: The complete vocabulary a wire frame may reference. Everything the mp
 #: runtime sends is built from builtins plus these; anything else is an
@@ -79,9 +106,11 @@ class FrameStats:
     """Per-connection wire accounting (single writer: the owning thread).
 
     ``frames_out``/``bytes_out`` count what left through this object,
-    ``frames_in``/``bytes_in`` what arrived; for a :class:`FrameBatcher`,
-    ``flushes`` counts the ``sendmsg`` calls actually issued, so
-    ``frames_out - flushes`` is the number of syscalls coalescing saved.
+    ``frames_in``/``bytes_in`` what arrived — raw payload bytes count
+    toward the frame that announced them; for a :class:`FrameBatcher`,
+    ``flushes`` counts the flushes actually issued (one ``sendmsg`` each
+    unless over :data:`IOV_CAP` buffers were staged), so ``frames_out -
+    flushes`` is the number of syscalls coalescing saved.
     """
 
     __slots__ = ("frames_out", "bytes_out", "frames_in", "bytes_in",
@@ -103,7 +132,13 @@ class FrameStats:
 
 
 class FrameClosed(Exception):
-    """The peer closed the connection (clean EOF between frames)."""
+    """The peer closed the connection (clean EOF between frames).
+
+    ``received`` is how many bytes of an interrupted raw payload had
+    already landed in the caller's view (0 for any other close).
+    """
+
+    received = 0
 
 
 class UnsafeFrame(Exception):
@@ -157,24 +192,28 @@ def recv_frame(sock: socket.socket,
 def _sendmsg_all(sock: socket.socket, buffers: list) -> None:
     """Write every buffer fully, scatter-gather where the OS allows.
 
-    ``sendmsg`` may stop short (socket buffer full); the remainder is
-    retried from the first unsent byte without re-copying — only the
-    partially-sent buffer gets a narrowed memoryview.
+    Buffers go to ``sendmsg`` at most :data:`IOV_CAP` at a time, so any
+    number of staged frames or state parts is legal. ``sendmsg`` may stop
+    short (socket buffer full); the remainder is retried from the first
+    unsent byte without re-copying — only the partially-sent buffer gets
+    a narrowed memoryview.
     """
     bufs = [memoryview(b) for b in buffers if len(b)]
-    while bufs:
+    i = 0
+    while i < len(bufs):
         try:
-            sent = sock.sendmsg(bufs)
+            sent = sock.sendmsg(bufs[i:i + IOV_CAP])
         except AttributeError:  # platform without sendmsg
-            for b in bufs:
+            for b in bufs[i:]:
                 sock.sendall(b)
             return
         while sent:
-            if sent >= len(bufs[0]):
-                sent -= len(bufs[0])
-                del bufs[0]
+            n = len(bufs[i])
+            if sent >= n:
+                sent -= n
+                i += 1
             else:
-                bufs[0] = bufs[0][sent:]
+                bufs[i] = bufs[i][sent:]
                 sent = 0
 
 
@@ -213,7 +252,7 @@ class FrameBatcher:
     ``add`` queues the encoded frame; everything flushes together once
     ``limit`` bytes accumulate, or explicitly via :meth:`flush`. The
     receiver needs no changes — the stream is byte-identical to the
-    frames sent one by one.
+    frames sent one by one, however many are staged.
     """
 
     def __init__(self, sock: socket.socket, limit: int = 64 * 1024,
@@ -221,21 +260,38 @@ class FrameBatcher:
         self._sock = sock
         self._limit = limit
         self._pending: list = []
+        self._nframes = 0
         self._nbytes = 0
         self.stats = stats
 
     def __len__(self) -> int:
         """Queued-but-unflushed frame count."""
-        return len(self._pending) // 2
+        return self._nframes
 
     def add(self, obj: Any) -> None:
+        self.add_raw(obj, ())
+
+    def add_raw(self, obj: Any, parts) -> None:
+        """Stage frame *obj* followed by the raw bytes of *parts*.
+
+        *obj* must announce ``sum(len(p) for p in parts)`` to its reader
+        (see :meth:`FrameReader.read_raw_into`). The parts are staged by
+        reference — bytes-like objects, typically ``memoryview`` slices
+        of live arrays — and must not change before the next flush.
+        """
+        raw = sum(len(part) for part in parts)
+        if raw > MAX_FRAME:
+            raise ValueError(f"raw payload of {raw} bytes exceeds limit")
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        nbytes = _HDR.size + len(payload) + raw
         self._pending.append(_HDR.pack(len(payload)))
         self._pending.append(payload)
-        self._nbytes += _HDR.size + len(payload)
+        self._pending.extend(parts)
+        self._nframes += 1
+        self._nbytes += nbytes
         if self.stats is not None:
             self.stats.frames_out += 1
-            self.stats.bytes_out += _HDR.size + len(payload)
+            self.stats.bytes_out += nbytes
         if self._nbytes >= self._limit:
             self.flush()
 
@@ -243,6 +299,7 @@ class FrameBatcher:
         if self._pending:
             _sendmsg_all(self._sock, self._pending)
             self._pending = []
+            self._nframes = 0
             self._nbytes = 0
             if self.stats is not None:
                 self.stats.flushes += 1
@@ -314,3 +371,32 @@ class FrameReader:
             self.stats.frames_in += 1
             self.stats.bytes_in += _HDR.size + length
         return obj
+
+    def read_raw_into(self, view) -> None:
+        """Fill the writable byte view *view* with the next ``len(view)``
+        stream bytes: the raw payload the frame just read announced.
+
+        Whatever part of it the read-ahead already holds is copied out
+        first; the rest is received by the kernel straight into *view*.
+        A length over :data:`MAX_FRAME` is refused before any byte
+        moves; EOF raises :class:`FrameClosed` with ``received`` set.
+        """
+        need = len(view)
+        if need > MAX_FRAME:
+            raise ValueError(f"raw payload of {need} bytes exceeds limit")
+        got = min(need, self._end - self._start)
+        if got:
+            view[:got] = self._mv[self._start:self._start + got]
+            self._start += got
+            if self._start == self._end:
+                self._start = self._end = 0
+        while got < need:
+            n = self._sock.recv_into(view[got:])
+            if n == 0:
+                closed = FrameClosed(
+                    f"connection closed mid-payload ({got}/{need} bytes)")
+                closed.received = got
+                raise closed
+            got += n
+        if self.stats is not None:
+            self.stats.bytes_in += need

@@ -56,7 +56,13 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.codec import NATIVE, Architecture, decode, encode, encode_parts
+from repro.codec import (
+    NATIVE,
+    Architecture,
+    decode_owned,
+    encode,
+    encode_parts,
+)
 from repro.core.adaptive import (
     AdaptiveChunkPolicy,
     ChunkController,
@@ -65,7 +71,6 @@ from repro.core.adaptive import (
 from repro.core.checkpointing import CheckpointStore
 from repro.core.gang import ADMIT, GangAdmission
 from repro.core.grants import GrantLedger
-from repro.core.messages import StateChunk
 from repro.core.streaming import (
     DEFAULT_CHUNK_BYTES,
     ChunkAssembler,
@@ -91,6 +96,7 @@ from repro.runtime.mp_directory import (
     DirectoryDaemonHost,
     MPDirectoryClient,
 )
+from repro.util.errors import MigrationError
 
 __all__ = ["MPCluster", "MPApi"]
 
@@ -705,6 +711,11 @@ class _Worker:
         #: (fork-shared; None for fixed chunk sizes or solo migrations)
         self.budget = budget
         self.inbox: queue.Queue = queue.Queue()
+        #: an initialized process's incoming state stream (Fig. 7):
+        #: filled by the one transfer connection's reader thread, handed
+        #: to _init_main through the inbox when it completes or fails
+        self.state_asm = ChunkAssembler() if initializing else None
+        self._transfer_claimed = False
         self.links: dict[int, _PeerLink] = {}
         #: every FrameStats handed to a link, including replaced links —
         #: summed into the final metrics snapshot
@@ -875,12 +886,18 @@ class _Worker:
             m.counter(name, rank=self.rank).inc(value)
         self.obs.flush(final=True)
 
+    def _new_stats(self) -> FrameStats | None:
+        """Wire accounting for one more connection (obs runs only)."""
+        if self.obs is None:
+            return None
+        stats = FrameStats()
+        self._link_stats.append(stats)
+        return stats
+
     def _make_link(self, sock: socket.socket, peer_rank: int) -> _PeerLink:
         """A link whose reader is not running yet: see ``start()``."""
-        stats = FrameStats() if self.obs is not None else None
-        if stats is not None:
-            self._link_stats.append(stats)
-        return _PeerLink(sock, peer_rank, self.inbox, stats=stats)
+        return _PeerLink(sock, peer_rank, self.inbox,
+                         stats=self._new_stats())
 
     def _flush_links(self) -> None:
         """Push every link's staged frames out before blocking."""
@@ -955,13 +972,46 @@ class _Worker:
                 # _connect handshake, so no dual-initiation link races.
                 self.inbox.put(("replay_nudge", hello[1], None))
                 conn.close()
-            elif hello[0] == "state_transfer":
-                # the migrating process's transfer connection; its frames
-                # (recvlist, state/state_chunk) flow into the inbox like
-                # peer frames
-                self._make_link(conn, hello[1]).start()
+            elif (hello[0] == "state_transfer"
+                  and self.state_asm is not None
+                  and not self._transfer_claimed):
+                # the migrating (or recovering) source's transfer
+                # connection — one per initialized process
+                self._transfer_claimed = True
+                threading.Thread(target=self._transfer_read_loop,
+                                 args=(conn,), daemon=True).start()
             else:
                 conn.close()
+
+    def _transfer_read_loop(self, conn: socket.socket) -> None:
+        """Receive the state stream: ``recvlist`` goes to the inbox, each
+        ``("chunk", seq, nbytes, last, total_nbytes)`` header is checked
+        by the assembler and its raw payload received straight into the
+        assembler's buffer. Ends by telling ``_init_main`` how it went —
+        a connection that closes before the ``last`` chunk (source
+        SIGKILLed mid-transfer) is reported as the truncation it is."""
+        # a small read-ahead: all it needs to hold is a chunk header —
+        # payload bytes that land in it are copied twice
+        reader = FrameReader(conn, bufsize=4096, stats=self._new_stats())
+        asm = self.state_asm
+        try:
+            while not asm.complete:
+                frame = reader.read_frame()
+                if frame[0] == "chunk" and len(frame) == 5:
+                    asm.receive(*frame[1:], fill=reader.read_raw_into)
+                elif frame[0] == "recvlist":
+                    self.inbox.put(("peer", None, frame))
+                else:
+                    raise ValueError(f"bad transfer frame {frame!r:.80}")
+            done = ("state_complete", None, None)
+        except (FrameClosed, OSError) as exc:
+            done = ("state_failed", None,
+                    asm.truncated(getattr(exc, "received", 0)))
+        except Exception as exc:  # thread boundary: _init_main re-raises
+            done = ("state_failed", None, exc)
+        finally:
+            conn.close()
+        self.inbox.put(done)
 
     def _ctl_loop(self) -> None:
         try:
@@ -1562,9 +1612,9 @@ class _Worker:
         # are still encoding; small leading frames (handshake,
         # recvlist) coalesce with the first chunk into one sendmsg
         batch = FrameBatcher(xfer)
-        # the trace id rides every transfer frame: the destination
-        # stitches its restore/commit spans under the same trace
-        # even when it was spawned without one (recovery tooling,
+        # the trace id rides the transfer's two pickled frames: the
+        # destination stitches its restore/commit spans under the same
+        # trace even when it was spawned without one (recovery tooling,
         # external inits)
         batch.add(("state_transfer", self.rank, tid))
         batch.add(("recvlist", list_a, tid))
@@ -1580,21 +1630,19 @@ class _Worker:
                                  parts=parts)
         while not source.exhausted:
             c = source.next_chunk()
-            data = b"".join(c.parts)
-            if controller is None:
-                batch.add(("state_chunk", c.seq, data, c.last,
-                           c.total_nbytes, tid))
-            else:
+            # a chunk is a small pickled header announcing its raw
+            # payload: the encoder's memoryview parts go to sendmsg as
+            # iovecs, never joined or pickled
+            t0 = time.perf_counter()
+            batch.add_raw(("chunk", c.seq, c.nbytes, c.last,
+                           c.total_nbytes), c.parts)
+            if controller is not None:
                 # adaptive: flush per chunk and feed the wall-clock
                 # hand-off time back — a full kernel buffer (slow
                 # reader or slow wire) blocks the flush, reads as
                 # high latency and shrinks the next chunk
-                t0 = time.perf_counter()
-                batch.add(("state_chunk", c.seq, data, c.last,
-                           c.total_nbytes, tid))
                 batch.flush()
-                controller.observe(len(data),
-                                   time.perf_counter() - t0)
+                controller.observe(c.nbytes, time.perf_counter() - t0)
                 if obs is not None:
                     self._g_chunk.set(controller.size)
             nchunks += 1
@@ -1603,7 +1651,7 @@ class _Worker:
                 # this is how a paced-but-contended transfer is told
                 # apart from a stuck one in the live view
                 self._g_xfer.set(source.sent_nbytes)
-                obs.event("state_chunk", seq=c.seq, nbytes=len(data),
+                obs.event("state_chunk", seq=c.seq, nbytes=c.nbytes,
                           last=c.last, rank=self.rank,
                           **self._tctx("transfer"))
         batch.flush()
@@ -1662,37 +1710,39 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
                 dir_cfg=dir_cfg, rec_cfg=rec_cfg, chunk_bytes=chunk_bytes,
                 trace_id=trace_id, budget=budget)
     # Fig. 7: accept connections from the start; wait for the transfer.
-    # The state arrives as an ordered run of ("state_chunk", seq, data,
-    # last, total) frames — a live source's stream, or the single chunk
-    # recover_rank cuts from a checkpoint; transfer frames carry a
-    # trailing trace id, adopted when the launcher did not already hand
-    # one down.
+    # The transfer connection's reader (_transfer_read_loop) lays the
+    # state out in the assembler's buffer as it arrives — a live
+    # source's chunk stream, or the single chunk recover_rank cuts from a
+    # checkpoint — and reports completion or failure here; the recvlist
+    # frame carries a trailing trace id, adopted when the launcher did
+    # not already hand one down.
     # A recovery trace roots at the registry's ``recover`` span; a
     # migration's restore hangs under the source's ``transfer``.
     parent = ("recover" if trace_id and trace_id.startswith("rec-")
               else "transfer")
     restore = w._span("restore", **w._tctx(parent))
     recvlist_a = None
-    asm = ChunkAssembler()
+    asm = w.state_asm
     #: recovery runs park early data frames: their sequence numbers can
     #: only be judged once the restored receive cursors are in place
     deferred: list[tuple] = []
-    while not asm.complete:
-        item = w.inbox.get(timeout=_CONNECT_TIMEOUT)
+    while True:
+        try:
+            # liveness bound, never a safety mechanism
+            item = w.inbox.get(timeout=_CONNECT_TIMEOUT)
+        except queue.Empty:
+            raise MigrationError(
+                f"{asm.truncated()} (init rank {rank}: nothing arrived "
+                f"for {_CONNECT_TIMEOUT:.0f}s)") from None
         kind, peer, payload = item
-        if kind == "peer" and payload[0] in ("recvlist", "state_chunk") \
-                and w.trace_id is None and payload[-1] is not None \
-                and isinstance(payload[-1], str):
-            w.trace_id = payload[-1]
+        if kind == "state_complete":
+            break
+        if kind == "state_failed":
+            raise payload
         if kind == "peer" and payload[0] == "recvlist":
             recvlist_a = payload[1]
-        elif kind == "peer" and payload[0] == "state_chunk":
-            seq, data, last, total = payload[1:5]
-            # order/truncation violations raise MigrationError, as in
-            # the simulator; the source architecture is not on the mp
-            # wire — the blob's own header records it
-            asm.add(StateChunk(seq, (data,), len(data), last, total,
-                               src_arch=""))
+            if w.trace_id is None and isinstance(payload[-1], str):
+                w.trace_id = payload[-1]
         elif rec_cfg is not None and kind == "peer" and payload[0] == "data":
             deferred.append(item)
         elif rec_cfg is not None and kind == "replay_nudge":
@@ -1701,8 +1751,15 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
             deferred.append(item)
         else:
             w._dispatch(item)
-    state_blob = asm.assemble()
-    state = decode(state_blob)
+    if recvlist_a is None:
+        raise MigrationError(
+            f"init rank {rank}: state arrived without its recvlist")
+    # arrays come back as writable views over the receive buffer: all
+    # that is left to do after the last byte is the non-array residue
+    state_nbytes, nchunks = asm.total_nbytes, asm.nchunks
+    state = decode_owned(asm.buffer)
+    # from here the restored arrays alone keep the buffer alive
+    asm = w.state_asm = None
     ckpt_list: list = []
     if isinstance(state, dict) and state.get(_CKPT_KEY):
         # recovery: the "source" was a checkpoint wrapper, not a live
@@ -1724,11 +1781,11 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
     for item in deferred:
         w._dispatch(item)
     if restore is not None:
-        restore.close(nbytes=len(state_blob), chunks=asm.nchunks,
+        restore.close(nbytes=state_nbytes, chunks=nchunks,
                       **(w._tctx(parent) if not restore.fields.get("trace_id")
                          else {}))
     log.debug("init rank %d: state restored (%d bytes)",
-              rank, len(state_blob))
+              rank, state_nbytes)
     commit = w._span("commit", **w._tctx("restore"))
     frame = w._rpc(("restore_complete", rank, w.addr), "pl_snapshot")
     w.pl = {r: tuple(a) for r, a in frame[1].items()}
@@ -2218,10 +2275,11 @@ class MPCluster:
         xfer = socket.create_connection(tuple(reg.init_addr[rank]),
                                         timeout=_CONNECT_TIMEOUT)
         try:
-            send_frame(xfer, ("state_transfer", -1, trace_id))
-            send_frame(xfer, ("recvlist", [], trace_id))
-            send_frame(xfer, ("state_chunk", 0, blob, True, len(blob),
-                              trace_id))
+            batch = FrameBatcher(xfer)
+            batch.add(("state_transfer", -1, trace_id))
+            batch.add(("recvlist", [], trace_id))
+            batch.add_raw(("chunk", 0, len(blob), True, len(blob)), (blob,))
+            batch.flush()
         finally:
             xfer.close()
         # wait for restore_complete to flip the record back to running

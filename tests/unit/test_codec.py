@@ -17,6 +17,7 @@ from repro.codec import (
     peek_arch,
 )
 from repro.util.errors import CodecError
+from tests.helpers.reference_codec import reference_encode
 
 ARCHES = [SPARC32, MIPS32, X86_64]
 
@@ -96,6 +97,16 @@ def test_ndarray_zero_dim():
     arr = np.array(7.5)
     out = decode(encode(arr))
     assert out.shape == () and float(out) == 7.5
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
+def test_ndarray_empty_shapes(shape):
+    # an empty n-d buffer cannot be cast to bytes by memoryview; the
+    # encoder flattens first
+    arr = np.empty(shape, dtype="i2")
+    out = decode(encode(arr, SPARC32))
+    assert out.shape == shape and out.dtype == np.dtype("i2")
+    assert encode(arr, SPARC32) == reference_encode(arr, SPARC32)
 
 
 def test_ndarray_noncontiguous():

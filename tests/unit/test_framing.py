@@ -12,13 +12,17 @@ import socket
 import struct
 import threading
 
+import numpy as np
 import pytest
 
 from repro.runtime.framing import (
     ALLOWED_GLOBALS,
+    IOV_CAP,
+    MAX_FRAME,
     FrameBatcher,
     FrameClosed,
     FrameReader,
+    FrameStats,
     UnsafeFrame,
     recv_frame,
     restricted_loads,
@@ -178,7 +182,7 @@ def test_frame_reader_many_frames_one_buffer():
 def test_frame_reader_grows_past_initial_buffer():
     a, b = _pair()
     try:
-        obj = ("state_chunk", 0, b"z" * 300_000, True, 300_000)
+        obj = ("blob", 0, b"z" * 300_000, True, 300_000)
         t = threading.Thread(target=send_frame, args=(a, obj))
         t.start()
         assert FrameReader(b, bufsize=1024).read_frame() == obj
@@ -216,7 +220,7 @@ def test_batcher_coalesces_and_stays_parseable():
     a, b = _pair()
     try:
         frames = [("ctl", i) for i in range(50)] + \
-                 [("recvlist", [(0, 1, b"m")]), ("state_chunk", 0, b"s", True, 1)]
+                 [("recvlist", [(0, 1, b"m")]), ("blob", 0, b"s", True, 1)]
 
         def feed():
             batch = FrameBatcher(a, limit=4096)
@@ -230,6 +234,137 @@ def test_batcher_coalesces_and_stays_parseable():
         got = [recv_frame(b) for _ in range(len(frames))]
         assert got == frames
         t.join()
+    finally:
+        a.close()
+        b.close()
+
+
+def test_batcher_stages_more_frames_than_one_sendmsg_can_carry():
+    # 600 frames are 1200 buffers, past the kernel's IOV_MAX: the caller
+    # never flushes, and nothing may fail with EMSGSIZE
+    a, b = _pair()
+    try:
+        frames = [("data", 0, 0, (i, b"x" * 16)) for i in range(600)]
+        batch = FrameBatcher(a, limit=1 << 30)
+        for f in frames:
+            batch.add(f)
+        assert len(batch) == 600
+        assert 2 * len(batch) > IOV_CAP
+        t = threading.Thread(target=batch.flush)
+        t.start()
+        reader = FrameReader(b)
+        assert [reader.read_frame() for _ in frames] == frames
+        t.join()
+        assert len(batch) == 0
+    finally:
+        a.close()
+        b.close()
+
+
+# -- frames that announce a raw payload -------------------------------------
+
+def _send_raw(sock, frames, limit=64 * 1024, stats=None):
+    """frames: (obj, parts-or-None) in order, through one batcher."""
+    batch = FrameBatcher(sock, limit=limit, stats=stats)
+    for obj, parts in frames:
+        if parts is None:
+            batch.add(obj)
+        else:
+            batch.add_raw(obj, parts)
+    batch.flush()
+
+
+def test_raw_payload_that_starts_inside_the_read_ahead():
+    a, b = _pair()
+    try:
+        payload = bytes(range(256)) * 8
+        # header and payload leave in one sendmsg, so the reader's first
+        # recv_into pulls the payload's head in along with the header
+        _send_raw(a, [(("chunk", 0, len(payload)),
+                       (payload[:100], memoryview(payload)[100:]))])
+        stats = FrameStats()
+        reader = FrameReader(b, bufsize=512, stats=stats)
+        assert reader.read_frame() == ("chunk", 0, len(payload))
+        assert reader._end - reader._start > 0  # payload bytes read ahead
+        target = bytearray(len(payload))
+        reader.read_raw_into(memoryview(target))
+        assert bytes(target) == payload
+        # every wire byte is counted once, on either side
+        out = FrameStats()
+        c, d = _pair()
+        try:
+            _send_raw(c, [(("chunk", 0, len(payload)), (payload,))],
+                      stats=out)
+        finally:
+            c.close()
+            d.close()
+        assert stats.bytes_in == out.bytes_out
+        assert stats.frames_in == out.frames_out == 1
+    finally:
+        a.close()
+        b.close()
+
+
+def test_raw_payload_spanning_many_recvs_then_a_pickled_frame():
+    a, b = _pair()
+    try:
+        payload = bytes(i * 7 % 251 for i in range(3_000_000))
+        parts = [memoryview(payload)[i:i + 70_001]
+                 for i in range(0, len(payload), 70_001)]
+        frames = [(("recvlist", [(0, 1, b"m")], "t-1"), None),
+                  (("chunk", 0, len(payload), True, len(payload)), parts),
+                  (("after", 1), None)]
+        t = threading.Thread(target=_send_raw, args=(a, frames))
+        t.start()
+        reader = FrameReader(b, bufsize=4096)
+        assert reader.read_frame() == frames[0][0]
+        assert reader.read_frame() == frames[1][0]
+        target = bytearray(len(payload))
+        reader.read_raw_into(memoryview(target))
+        assert bytes(target) == payload
+        # the stream is back in frame sync after the unframed bytes
+        assert reader.read_frame() == ("after", 1)
+        t.join()
+    finally:
+        a.close()
+        b.close()
+
+
+def test_raw_payload_cut_short_reports_what_arrived():
+    a, b = _pair()
+    try:
+        _send_raw(a, [(("chunk", 0, 1000), (b"p" * 400,))])
+        a.close()
+        reader = FrameReader(b)
+        assert reader.read_frame() == ("chunk", 0, 1000)
+        target = bytearray(1000)
+        with pytest.raises(FrameClosed, match="400/1000") as err:
+            reader.read_raw_into(memoryview(target))
+        assert err.value.received == 400
+        assert bytes(target[:400]) == b"p" * 400
+    finally:
+        b.close()
+
+
+class _NoRecv:
+    """A socket stand-in that fails the test if anything is received."""
+
+    def recv_into(self, view):
+        raise AssertionError("payload bytes were read")
+
+
+def test_oversized_raw_payload_is_refused_on_both_sides():
+    # (np.empty: address space only, no page of it is ever touched)
+    huge = memoryview(np.empty(MAX_FRAME + 1, dtype=np.uint8))
+    reader = FrameReader(_NoRecv())
+    with pytest.raises(ValueError, match="exceeds limit"):
+        reader.read_raw_into(huge)
+    a, b = _pair()
+    try:
+        batch = FrameBatcher(a)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            batch.add_raw(("chunk", 0), (huge,))
+        assert len(batch) == 0
     finally:
         a.close()
         b.close()

@@ -1,9 +1,11 @@
 """The public knobs, pinned: a new parameter is a reviewed diff.
 
 ROADMAP aim 2 is "one way to do each thing, and fewer knobs". Every
-parameter of the five entry points below doubles what tests and
-benchmarks must cover, so the set is literal here — adding one means
-editing this file, in the open, with the caller that needs it.
+parameter of the entry points below doubles what tests and benchmarks
+must cover, so the set is literal here — adding one means editing this
+file, in the open, with the caller that needs it. ``decode_owned`` (the
+mp destination's consuming decode) takes the buffer and nothing else:
+which decode runs is decided by who calls, never by an argument.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import inspect
 import pytest
 
 from repro import Application
-from repro.codec import decode, encode
+from repro.codec import decode, decode_owned, encode
 from repro.core.endpoint import MigrationEndpoint
 from repro.runtime import MPCluster
 
 EXPECTED = {
     encode: {"obj", "arch"},
     decode: {"data"},
+    decode_owned: {"buf"},
     Application: {
         "vm", "program", "placement", "scheduler_host", "architectures",
         "migratable", "name", "checkpoint_store", "restore_version",
