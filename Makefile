@@ -1,7 +1,7 @@
 # Developer entry points. Everything runs against the in-tree sources.
 export PYTHONPATH := src
 
-.PHONY: test fast stress bench bench-directory bench-fastpath bench-recovery bench-gang bench-quick bench-e2e bench-pairs obs-smoke obs-svg shard-smoke recovery-smoke gang-smoke
+.PHONY: test fast stress loc bench bench-directory bench-fastpath bench-recovery bench-gang bench-quick bench-e2e bench-pairs obs-smoke obs-svg shard-smoke recovery-smoke gang-smoke
 
 test:   ## tier-1 verify: the full suite (virtual time keeps it quick)
 	python -m pytest -x -q
@@ -12,10 +12,14 @@ fast:   ## the suite minus the seeded fault-injection stress runs
 stress: ## fault-adversarial runs checked against the paper's theorems
 	python -m pytest tests/stress -q
 
+loc:    ## source size, the figure CHANGES.md reports reductions in (ROADMAP aim 2)
+	@echo "lines:   $$(find src -name '*.py' | xargs cat | wc -l)"
+	@echo "modules: $$(find src -name '*.py' | wc -l)"
+
 bench:  ## regenerate the paper's tables/figures (print with -s)
 	python -m pytest benchmarks/ --benchmark-only -q
 
-bench-directory: ## directory-backend ablation; writes BENCH_directory.json
+bench-directory: ## directory-backend ablation (pure virtual time); rewrites BENCH_directory.json byte for byte
 	python -m pytest benchmarks/test_ablation_directory.py --benchmark-only -q -s
 
 bench-fastpath: ## transfer-path measurements (adaptive vs fixed chunks, gang geometry, obs overhead); writes BENCH_fastpath.json

@@ -1,4 +1,4 @@
-"""ABL-5: centralized vs sharded vs Chord location directories.
+"""ABL-5: centralized vs sharded location directories.
 
 The paper centralizes its location service in the scheduler "for the
 sake of simplicity" and observes the lookup contract would survive a
@@ -9,8 +9,7 @@ that is the paper's communication state transfer — so only fresh
 connections exercise the lookup path, and the rotation guarantees a
 steady stream of fresh connections to already-moved ranks. The lookup
 load then lands on one process (centralized) or spreads over directory
-nodes (sharded / chord), and chord pays finger-table forwarding hops for
-its O(log N) routing.
+nodes (sharded).
 
 Persists the cross-backend numbers to ``BENCH_directory.json`` at the
 repo root (the ``make bench-directory`` artifact).
@@ -171,7 +170,6 @@ def _run(backend: str, nranks: int, window: int | None = None,
         "fallbacks": report.fallbacks,
         "max_node_load": report.max_node_load,
         "node_lookups": report.node_lookups,
-        "mean_hops": report.mean_hops,
         "mean_latency_us": report.mean_latency * 1e6,
         "cache": report.cache,
         "density": density,
@@ -216,10 +214,10 @@ def _persist() -> None:
 
 def _table(rows: list[dict]) -> str:
     return format_table(
-        ("backend", "ranks", "sched lookups", "max node load", "mean hops",
+        ("backend", "ranks", "sched lookups", "max node load",
          "latency(us)", "makespan(s)"),
         [(r["backend"], r["nranks"], r["scheduler_lookups"],
-          r["max_node_load"], f"{r['mean_hops']:.2f}",
+          r["max_node_load"],
           f"{r['mean_latency_us']:.0f}", f"{r['makespan']:.3f}")
          for r in rows])
 
@@ -253,22 +251,6 @@ def test_abl5_sharded_spreads_the_load(benchmark):
     # with nodes scaling alongside ranks, no single shard approaches the
     # centralized hot spot at the top scale
     assert runs[-1]["max_node_load"] < central[-1]["scheduler_lookups"] / 2
-
-
-def test_abl5_chord_routes_in_log_hops(benchmark):
-    runs = benchmark.pedantic(
-        lambda: [_run("chord", n) for n in SCALES],
-        rounds=1, iterations=1)
-    print("\nABL-5  chord backend, scaling ranks (nodes = ranks // 2):")
-    print(_table(runs))
-    top = runs[-1]
-    assert sum(top["node_lookups"].values()) > 0
-    # routing is bounded by O(log N) finger hops
-    for r in runs:
-        nodes = r["nodes"]
-        assert r["mean_hops"] <= math.log2(nodes) + 1
-    # at the top scale, multi-hop routing is actually exercised
-    assert top["mean_hops"] > 0
 
 
 def test_abl5_cache_locality(benchmark):
@@ -341,7 +323,7 @@ def test_abl5_migration_density(benchmark):
 def test_abl5_persist_bench_json(benchmark):
     """Write BENCH_directory.json from the full backend x scale sweep."""
     benchmark.pedantic(
-        lambda: ([_run(b, n) for b in ("centralized", "sharded", "chord")
+        lambda: ([_run(b, n) for b in ("centralized", "sharded")
                   for n in SCALES]
                  + [_run("sharded", LOCALITY_NRANKS, window=w)
                     for w in LOCALITY_WINDOWS]
@@ -350,7 +332,7 @@ def test_abl5_persist_bench_json(benchmark):
         rounds=1, iterations=1)
     _persist()
     data = json.loads(_BENCH_PATH.read_text())
-    assert len(data["results"]) == 3 * len(SCALES)
+    assert len(data["results"]) == 2 * len(SCALES)
     assert len(data["locality"]["results"]) == len(LOCALITY_WINDOWS)
     assert len(data["migration_density"]["results"]) == len(DENSITIES)
     print(f"\nABL-5  wrote {_BENCH_PATH}")

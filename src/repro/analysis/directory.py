@@ -2,9 +2,9 @@
 
 The ablation question: where does location-lookup traffic land? With the
 paper's centralized backend every consult hits the scheduler — a hot spot
-that grows with rank count. The distributed backends spread the same
-consults across directory nodes; chord additionally pays forwarding hops.
-:func:`directory_report` extracts all of it from one run.
+that grows with rank count. The sharded backend spreads the same
+consults across directory nodes. :func:`directory_report` extracts all
+of it from one run.
 """
 
 from __future__ import annotations
@@ -38,19 +38,11 @@ class DirectoryLoadReport:
     node_lookups: dict[int, int] = field(default_factory=dict)
     #: directory-node id -> location updates applied there
     node_updates: dict[int, int] = field(default_factory=dict)
-    #: chord forwarding steps, summed over all answered lookups
-    hops_total: int = 0
-    #: lookups the hops were summed over
-    hop_samples: int = 0
     #: mean virtual-time consult latency (consult -> answer), seconds
     mean_latency: float = 0.0
     latency_samples: int = 0
     #: aggregated endpoint cache counters
     cache: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mean_hops(self) -> float:
-        return self.hops_total / self.hop_samples if self.hop_samples else 0.0
 
     @property
     def max_node_load(self) -> int:
@@ -59,11 +51,10 @@ class DirectoryLoadReport:
 
     def summary(self) -> str:
         rows = [(self.backend, self.nranks, self.scheduler_lookups,
-                 self.max_node_load, f"{self.mean_hops:.2f}",
-                 f"{self.mean_latency * 1e6:.0f}")]
+                 self.max_node_load, f"{self.mean_latency * 1e6:.0f}")]
         return format_table(
             ("backend", "ranks", "sched lookups", "max node load",
-             "mean hops", "latency(us)"), rows)
+             "latency(us)"), rows)
 
 
 def _consult_latencies(vm) -> tuple[float, int]:
@@ -94,15 +85,10 @@ def directory_report(vm, app) -> DirectoryLoadReport:
 
     node_lookups: dict[int, int] = {}
     node_updates: dict[int, int] = {}
-    hops_total = 0
-    hop_samples = 0
     if cluster is not None:
         for node_id, stats in cluster.node_stats().items():
             node_lookups[node_id] = stats.lookups_served
             node_updates[node_id] = stats.updates_applied
-        for ev in vm.trace.filter(kind="dir_reply"):
-            hops_total += ev.detail.get("hops", 0)
-            hop_samples += 1
 
     cache: dict[str, int] = {}
     for ep in app.all_endpoints:
@@ -117,8 +103,6 @@ def directory_report(vm, app) -> DirectoryLoadReport:
         fallbacks=fallbacks,
         node_lookups=node_lookups,
         node_updates=node_updates,
-        hops_total=hops_total,
-        hop_samples=hop_samples,
         mean_latency=mean_latency,
         latency_samples=latency_samples,
         cache=cache,

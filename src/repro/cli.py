@@ -114,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="out-of-process directory shard daemons: run a migration "
              "workload against real shard processes, optionally crashing "
              "one mid-run and churning the membership")
-    d.add_argument("--backend", choices=("sharded", "chord"),
-                   default="sharded")
     d.add_argument("--nodes", type=int, default=4,
                    help="shard daemon count (default: %(default)s)")
     d.add_argument("--replication", type=int, default=2,
@@ -128,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "demo: lookups fail over, nothing is lost)")
     d.add_argument("--churn", action="store_true",
                    help="after the workload, join one shard and remove it "
-                        "again, printing the verified record handoff "
-                        "(sharded only)")
+                        "again, printing the verified record handoff")
 
     rec = sub.add_parser(
         "recover",
@@ -442,15 +439,12 @@ def _cmd_directory(args: argparse.Namespace) -> int:
     from repro.runtime import MPCluster
     from repro.util.errors import ProtocolError
 
-    if args.churn and args.backend != "sharded":
-        print("--churn needs --backend sharded (chord rings are static)")
-        return 2
     if args.kill is not None and not 0 <= args.kill < args.nodes:
         print(f"--kill {args.kill} is not a shard id (0..{args.nodes - 1})")
         return 2
     try:
-        spec = DirectorySpec(backend=args.backend, nodes=args.nodes,
-                             replication=args.replication, daemons=True)
+        spec = DirectorySpec(backend="sharded", nodes=args.nodes,
+                             replication=args.replication)
     except ProtocolError as exc:
         print(exc)
         return 2
@@ -486,11 +480,10 @@ def _cmd_directory(args: argparse.Namespace) -> int:
         results = cluster.join(timeout=120)
         print()
         print(format_table(
-            ("shard", "lookups", "forwards", "updates", "ignored",
-             "unknown"),
-            [(str(i),) + (("dead",) * 5 if s is None else
+            ("shard", "lookups", "updates", "ignored", "unknown"),
+            [(str(i),) + (("dead",) * 4 if s is None else
                           tuple(str(s[k]) for k in
-                                ("lookups", "forwards", "updates",
+                                ("lookups", "updates",
                                  "updates_ignored", "unknown")))
              for i, s in sorted(stats.items())]))
         snap = {r["name"]: r["value"] for r in cluster.metrics_snapshot()
@@ -550,7 +543,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         return 2
     spec = RecoverySpec(dir=args.dir,
                         checkpoint_every=args.checkpoint_every)
-    directory = (DirectorySpec(backend="sharded", nodes=3, daemons=True)
+    directory = (DirectorySpec(backend="sharded", nodes=3)
                  if args.kill_shard else None)
     cluster = MPCluster(
         _recover_relay, nranks=3,

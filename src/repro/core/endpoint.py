@@ -467,8 +467,7 @@ class MigrationEndpoint:
         """
         if self.directory_client is not None:
             self.vm.trace_record(self.ctx.name, "directory_consult",
-                                 dest=dest,
-                                 backend=self.directory_client.backend)
+                                 dest=dest)
             return self.directory_client.lookup(self, dest)
         token = next(self._tokens)
         self.stats.scheduler_consults += 1

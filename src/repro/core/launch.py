@@ -63,11 +63,11 @@ class Application:
         request per rank.
     directory:
         Location-directory backend: ``None`` / ``"centralized"`` (the
-        paper's scheduler-resident table), ``"sharded"``, ``"chord"``,
-        or a full :class:`~repro.directory.spec.DirectorySpec`. With a
-        distributed backend the launcher spawns the directory daemons,
-        seeds them with the initial placement, attaches the scheduler's
-        publisher and gives every endpoint a lookup client.
+        paper's scheduler-resident table), ``"sharded"``, or a full
+        :class:`~repro.directory.spec.DirectorySpec`. With the sharded
+        backend the launcher spawns the directory daemons, seeds them
+        with the initial placement, attaches the scheduler's publisher
+        and gives every endpoint a lookup client.
     chunk_bytes:
         ``state_chunk`` payload size of the pipelined state transfer
         (collection, network and restore overlap in virtual time);

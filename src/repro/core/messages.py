@@ -162,9 +162,7 @@ class LookupReply:
     designated initialized process for the rank, if any — an initialized
     process waiting out a lossy state transfer polls the scheduler and
     uses it to learn whether it is still wanted (see
-    :func:`repro.core.migration._pump_transfer`). ``hops`` counts
-    directory forwarding steps taken to answer (0 for the scheduler and
-    sharded nodes; the routing-cost metric for the chord backend).
+    :func:`repro.core.migration._pump_transfer`).
     """
 
     rank: Rank
@@ -172,7 +170,6 @@ class LookupReply:
     vmid: VmId | None
     token: int
     init_vmid: VmId | None = None
-    hops: int = 0
 
 
 @dataclass(frozen=True)

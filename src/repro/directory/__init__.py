@@ -8,17 +8,18 @@ only on the **lookup contract** — a stale belief is corrected by one
 rejected connect plus one lookup — and not on the directory's internal
 structure. This package makes that observation executable: one small
 :class:`DirectoryService` interface (lookup / install / commit-migration)
-with three interchangeable backends:
+with two interchangeable backends:
 
 * ``centralized`` — the paper's configuration, the scheduler's own master
   PL table (default; byte-for-byte behaviour preserving);
 * ``sharded`` — the rank → vmid space consistent-hash partitioned across
   directory daemon shards, with configurable replication and
-  shard-failover retry on the client;
-* ``chord`` — a finger-table ring: a lookup entering at any node routes
-  to the rank's successor in O(log N) traced control-message hops.
+  shard-failover retry on the client. This is the one distributed
+  directory: the simulator runs its nodes as daemon processes in virtual
+  time, the mp runtime as real shard OS processes
+  (:mod:`repro.runtime.mp_directory`).
 
-Reads scale out through the backends; writes stay with the scheduler,
+Reads scale out through the shards; writes stay with the scheduler,
 which remains the single coordinator of migrations (it is the only
 writer) and *publishes* location updates to the directory nodes
 (version-stamped, acknowledged, retransmitted until applied — the
@@ -37,12 +38,7 @@ from repro.directory.base import (
     stable_hash,
 )
 from repro.directory.cache import CacheStats, LocationCache
-from repro.directory.chordring import ChordRing
-from repro.directory.client import (
-    ChordClient,
-    DirectoryClient,
-    ShardedClient,
-)
+from repro.directory.client import DirectoryClient
 from repro.directory.daemons import (
     DirectoryCluster,
     DirectoryNode,
@@ -65,8 +61,6 @@ __all__ = [
     "STATUS_UNKNOWN",
     "CacheStats",
     "CentralizedDirectory",
-    "ChordClient",
-    "ChordRing",
     "DirLookup",
     "DirRetransmitTick",
     "DirUpdate",
@@ -80,7 +74,6 @@ __all__ = [
     "HashRing",
     "LocationCache",
     "LocationRecord",
-    "ShardedClient",
     "directory_node_main",
     "stable_hash",
 ]

@@ -72,9 +72,9 @@ class DirectoryService:
     lookup may return a *stale* location (the requester discovers that via
     a rejected connect and retries), but a lookup issued after a
     migration committed must *eventually* return the committed vmid.
-    Every backend — centralized table, consistent-hash shards, Chord ring
-    — satisfies that contract; nothing above this interface can tell them
-    apart except in cost.
+    Both backends — centralized table, consistent-hash shards — satisfy
+    that contract; nothing above this interface can tell them apart
+    except in cost.
     """
 
     backend = "abstract"

@@ -1,17 +1,17 @@
-"""Endpoint-side clients for the distributed directory backends.
+"""Endpoint-side client of the sharded directory.
 
 When an application process's ``connect()`` is rejected, it used to
-consult the scheduler directly. With a distributed backend the endpoint
-holds one of these clients instead and consults directory nodes; the
-scheduler is kept as the authoritative *fallback* — the lookup contract
-("a committed location is eventually returned") must hold even while a
-published update is still in flight or a shard is unreachable through the
-fault adversary.
+consult the scheduler directly. With the sharded backend the endpoint
+holds a :class:`DirectoryClient` instead and consults the directory
+nodes that own the rank; the scheduler is kept as the authoritative
+*fallback* — the lookup contract ("a committed location is eventually
+returned") must hold even while a published update is still in flight
+or a shard is unreachable through the fault adversary.
 
 Failure handling, in order:
 
-1. a shard that exhausts the retry policy is failed over (sharded: next
-   replica in the owner list; chord: next entry node into the ring);
+1. a shard that exhausts the retry policy is failed over to the next
+   replica in the owner list;
 2. an ``unknown`` answer (node has no record yet) is backed off and
    retried — it must never be treated as *terminated*;
 3. when rounds are spent, the scheduler answers authoritatively.
@@ -29,7 +29,7 @@ from repro.util.errors import RetryExhausted
 from repro.vm.ids import Rank, VmId
 from repro.vm.messages import ControlEnvelope
 
-__all__ = ["DirectoryClient", "ShardedClient", "ChordClient"]
+__all__ = ["DirectoryClient"]
 
 #: Consult rounds across the directory before falling back to the
 #: scheduler, and the base backoff between "unknown" rounds.
@@ -38,22 +38,31 @@ UNKNOWN_BACKOFF = 0.02
 
 
 class DirectoryClient:
-    """Common machinery: ask nodes, account hops, fall back to scheduler."""
+    """Ask the rank's owners directly; fall back to the scheduler.
 
-    backend = "abstract"
+    Every round walks the full replica list, so a drop-storm on one
+    owner degrades to another replica's answer instead of a stall. The
+    per-client ``salt`` spreads the *starting* replica across clients —
+    replicas receive the same published updates, so reads load-balance
+    over them instead of hammering the primary.
+    """
 
-    def __init__(self, topology, peers: dict[int, VmId],
+    def __init__(self, topology, peers: dict[int, VmId], salt: int = 0,
                  rounds: int = UNKNOWN_ROUNDS,
                  backoff: float = UNKNOWN_BACKOFF):
         self.topology = topology
         self.peers = peers
+        self.salt = salt
         self.rounds = rounds
         self.backoff = backoff
 
-    # -- subclass API ------------------------------------------------------
     def candidates(self, rank: Rank, round_no: int) -> list[int]:
         """Node ids to consult this round, in order."""
-        raise NotImplementedError
+        owners = self.topology.owners(rank)
+        # Rotate per round too: a persistently unreachable replica
+        # should not eat the whole retry budget.
+        k = (self.salt + round_no) % len(owners)
+        return owners[k:] + owners[:k]
 
     # -- the lookup --------------------------------------------------------
     def lookup(self, ep, rank: Rank) -> tuple[str, VmId | None]:
@@ -102,9 +111,8 @@ class DirectoryClient:
             and isinstance(it.msg, LookupReply) and it.msg.token == token,
             what="dir_lookup")
         reply: LookupReply = item.msg
-        self._count(ep, "dir_hops", reply.hops)
         ep.vm.trace_record(ep.ctx.name, "dir_reply", rank=rank,
-                           status=reply.status, hops=reply.hops,
+                           status=reply.status,
                            vmid=str(reply.vmid) if reply.vmid else None)
         return reply
 
@@ -127,54 +135,8 @@ class DirectoryClient:
         return item.msg.status, item.msg.vmid
 
     @staticmethod
-    def _count(ep, key: str, amount: float = 1) -> None:
-        ep.stats.extra[key] = ep.stats.extra.get(key, 0) + amount
+    def _count(ep, key: str) -> None:
+        ep.stats.extra[key] = ep.stats.extra.get(key, 0) + 1
         metrics = getattr(ep, "metrics", None)
         if metrics is not None:
-            metrics.counter(f"client.{key}", actor=ep.ctx.name).inc(amount)
-
-
-class ShardedClient(DirectoryClient):
-    """Consistent-hash backend: ask the owners directly.
-
-    Every round walks the full replica list, so a drop-storm on one
-    owner degrades to another replica's answer instead of a stall. The
-    per-client ``salt`` spreads the *starting* replica across clients —
-    replicas receive the same published updates, so reads load-balance
-    over them instead of hammering the primary.
-    """
-
-    backend = "sharded"
-
-    def __init__(self, topology, peers: dict[int, VmId], salt: int = 0,
-                 rounds: int = UNKNOWN_ROUNDS,
-                 backoff: float = UNKNOWN_BACKOFF):
-        super().__init__(topology, peers, rounds=rounds, backoff=backoff)
-        self.salt = salt
-
-    def candidates(self, rank: Rank, round_no: int) -> list[int]:
-        owners = self.topology.owners(rank)
-        # Rotate per round too: a persistently unreachable replica
-        # should not eat the whole retry budget.
-        k = (self.salt + round_no) % len(owners)
-        return owners[k:] + owners[:k]
-
-
-class ChordClient(DirectoryClient):
-    """Chord backend: enter the ring at this client's entry node.
-
-    The entry node routes the request over its finger table (each hop a
-    traced control message); the owner replies directly to the endpoint.
-    On failover the next round enters the ring one node over.
-    """
-
-    backend = "chord"
-
-    def __init__(self, topology, peers: dict[int, VmId], entry: int,
-                 rounds: int = UNKNOWN_ROUNDS,
-                 backoff: float = UNKNOWN_BACKOFF):
-        super().__init__(topology, peers, rounds=rounds, backoff=backoff)
-        self.entry = entry
-
-    def candidates(self, rank: Rank, round_no: int) -> list[int]:
-        return [(self.entry + round_no) % len(self.topology.nodes)]
+            metrics.counter(f"client.{key}", actor=ep.ctx.name).inc()

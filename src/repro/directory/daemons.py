@@ -1,9 +1,9 @@
 """Directory daemon processes, their cluster, and the scheduler's publisher.
 
 A *directory node* is a daemon process in the virtual machine holding the
-location records of the ranks it owns (consistent-hash shard or Chord
-successor). Nodes are read replicas: the scheduler remains the single
-writer and *publishes* every mutation to the owners, version-stamped and
+location records of the ranks it owns (its consistent-hash shard).
+Nodes are read replicas: the scheduler remains the single writer and
+*publishes* every mutation to the owners, version-stamped and
 retransmitted until acknowledged. The publication path and the lookup
 path both ride the connectionless ``ctl`` service, so both are exposed to
 the drop/dup/delay adversary of :mod:`repro.sim.faults` — see
@@ -12,7 +12,7 @@ the drop/dup/delay adversary of :mod:`repro.sim.faults` — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.messages import LookupReply
 from repro.directory.base import (
@@ -21,8 +21,7 @@ from repro.directory.base import (
     CentralizedDirectory,
     LocationRecord,
 )
-from repro.directory.chordring import ChordRing
-from repro.directory.client import ChordClient, DirectoryClient, ShardedClient
+from repro.directory.client import DirectoryClient
 from repro.directory.hashring import HashRing
 from repro.directory.messages import (
     DirLookup,
@@ -49,7 +48,6 @@ class NodeStats:
 
     lookups_served: int = 0
     unknown_served: int = 0
-    forwards: int = 0
     updates_applied: int = 0
     updates_ignored: int = 0
 
@@ -57,19 +55,15 @@ class NodeStats:
 class DirectoryNode:
     """State of one directory daemon.
 
-    ``peers`` is the *shared* node-id → vmid map of the whole cluster; it
-    is filled in while nodes are spawned, before the kernel runs, so every
-    node can forward to every other.
+    Holds whatever records the scheduler's publisher sends it; which
+    ranks those are is the ring's business, not the node's.
     """
 
-    def __init__(self, node_id: int, topology, peers: dict[int, VmId]):
-        self.node_id = node_id
-        self.topology = topology
-        self.peers = peers
+    def __init__(self):
         self.records: dict[Rank, LocationRecord] = {}
         self.stats = NodeStats()
 
-    def reply_for(self, rank: Rank, token: int, hops: int) -> LookupReply:
+    def reply_for(self, rank: Rank, token: int) -> LookupReply:
         """Build the lookup reply from this node's record of *rank*.
 
         Mirrors the scheduler's reply construction exactly — including
@@ -80,21 +74,20 @@ class DirectoryNode:
         """
         rec = self.records.get(rank)
         if rec is None:
-            return LookupReply(rank, "unknown", None, token, hops=hops)
+            return LookupReply(rank, "unknown", None, token)
         if rec.status == STATUS_MIGRATING:
             return LookupReply(rank, "migrate", rec.init_vmid, token,
-                               init_vmid=rec.init_vmid, hops=hops)
+                               init_vmid=rec.init_vmid)
         if rec.status == STATUS_RUNNING:
             return LookupReply(rank, "running", rec.vmid, token,
-                               init_vmid=rec.init_vmid, hops=hops)
+                               init_vmid=rec.init_vmid)
         return LookupReply(rank, "terminated", None, token,
-                           init_vmid=rec.init_vmid, hops=hops)
+                           init_vmid=rec.init_vmid)
 
 
 def directory_node_main(ctx: ProcessContext, node: DirectoryNode) -> None:
     """Event loop of one directory daemon."""
     vm = ctx.vm
-    chord = isinstance(node.topology, ChordRing)
     while True:
         item = ctx.next_message()
         if not isinstance(item, ControlEnvelope):
@@ -104,25 +97,12 @@ def directory_node_main(ctx: ProcessContext, node: DirectoryNode) -> None:
         msg = item.msg
 
         if isinstance(msg, DirLookup):
-            if chord:
-                nxt = node.topology.next_hop(node.node_id, msg.rank)
-                if nxt is not None:
-                    # Not an owner: forward along the finger table. Each
-                    # hop is a real traced control message.
-                    node.stats.forwards += 1
-                    vm.trace_record(ctx.name, "dir_forward", rank=msg.rank,
-                                    to=nxt, hops=msg.hops + 1)
-                    ctx.route_control(
-                        node.peers[nxt],
-                        DirLookup(rank=msg.rank, reply_to=msg.reply_to,
-                                  token=msg.token, hops=msg.hops + 1))
-                    continue
-            reply = node.reply_for(msg.rank, msg.token, msg.hops)
+            reply = node.reply_for(msg.rank, msg.token)
             node.stats.lookups_served += 1
             if reply.status == "unknown":
                 node.stats.unknown_served += 1
             vm.trace_record(ctx.name, "dir_lookup_served", rank=msg.rank,
-                            status=reply.status, hops=msg.hops)
+                            status=reply.status)
             ctx.route_control(msg.reply_to, reply)
 
         elif isinstance(msg, DirUpdate):
@@ -229,19 +209,12 @@ class DirectoryCluster:
         self.vm = vm
         self.spec = spec
         node_ids = list(range(spec.nodes))
-        if spec.backend == "sharded":
-            self.topology = HashRing(node_ids, replication=spec.replication,
-                                     vnodes=spec.vnodes)
-        else:
-            self.topology = ChordRing(node_ids, replication=spec.replication,
-                                      bits=spec.bits)
-        placement = list(spec.hosts) or [default_host]
+        self.topology = HashRing(node_ids, replication=spec.replication)
         self.peers: dict[int, VmId] = {}
         self.nodes: dict[int, DirectoryNode] = {}
         for i in node_ids:
-            node = DirectoryNode(i, self.topology, self.peers)
-            nctx = vm.spawn(placement[i % len(placement)],
-                            directory_node_main, node,
+            node = DirectoryNode()
+            nctx = vm.spawn(default_host, directory_node_main, node,
                             name=f"dir{i}", daemon=True)
             self.peers[i] = nctx.vmid
             self.nodes[i] = node
@@ -260,12 +233,8 @@ class DirectoryCluster:
 
     def make_client(self, rank: Rank) -> DirectoryClient:
         """The lookup client a rank's endpoint consults instead of the
-        scheduler. Chord lookups enter the ring at a rank-dependent node —
-        that spread is what exercises multi-hop routing."""
-        if self.spec.backend == "sharded":
-            return ShardedClient(self.topology, self.peers, salt=int(rank))
-        entry = int(rank) % len(self.nodes)
-        return ChordClient(self.topology, self.peers, entry)
+        scheduler."""
+        return DirectoryClient(self.topology, self.peers, salt=int(rank))
 
     def node_stats(self) -> dict[int, NodeStats]:
         return {i: n.stats for i, n in self.nodes.items()}

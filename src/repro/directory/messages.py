@@ -1,4 +1,4 @@
-"""Control messages of the distributed directory backends.
+"""Control messages of the sharded directory.
 
 All of these travel the connectionless ``ctl`` service — the same
 UDP-like daemon path as the scheduler RPCs — and are therefore exposed to
@@ -27,17 +27,11 @@ __all__ = ["DirLookup", "DirUpdate", "DirUpdateAck", "DirRetransmitTick"]
 
 @dataclass(frozen=True)
 class DirLookup:
-    """A location query entering (or traversing) the directory.
-
-    ``hops`` counts forwarding steps taken so far (chord routing); the
-    answering node copies it into the reply so clients and the ablation
-    can account routing cost.
-    """
+    """A location query sent to one of the rank's owning nodes."""
 
     rank: Rank
     reply_to: VmId
     token: int
-    hops: int = 0
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,22 @@ shorthand forms used throughout tests and benchmarks::
     Application(..., directory=None)            # centralized (default)
     Application(..., directory="sharded")       # 4 shards, replication 2
     Application(..., directory=DirectorySpec(
-        backend="chord", nodes=8, replication=2))
+        backend="sharded", nodes=8, replication=2))
+
+``sharded`` is the one distributed directory: the consistent-hash ring
+of :mod:`repro.directory.hashring`, run as daemon processes in virtual
+time by the simulator and as real shard OS processes by the mp runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import ProtocolError
 
 __all__ = ["DirectorySpec", "BACKENDS"]
 
-BACKENDS = ("centralized", "sharded", "chord")
+BACKENDS = ("centralized", "sharded")
 
 
 @dataclass(frozen=True)
@@ -29,36 +33,16 @@ class DirectorySpec:
     Parameters
     ----------
     backend:
-        ``centralized`` | ``sharded`` | ``chord``.
+        ``centralized`` | ``sharded``.
     nodes:
         Directory daemon count (ignored by ``centralized``).
     replication:
         Distinct nodes holding each rank's record.
-    vnodes:
-        Virtual points per shard on the consistent-hash ring
-        (``sharded`` only).
-    bits:
-        Identifier-circle width of the Chord ring (``chord`` only).
-    hosts:
-        Hosts to place directory daemons on, round-robin. Empty means
-        "reuse the scheduler's host" — fine for the simulator, where
-        placement only affects latency accounting.
-    daemons:
-        Multiprocess runtime only: run each directory node as a
-        standalone OS process with its own listening socket
-        (:mod:`repro.runtime.mp_directory`), so shard crash-stop
-        failure, restart and membership churn happen for real. The
-        simulator ignores this flag (its nodes are always daemon
-        processes — in virtual time). Requires a distributed backend.
     """
 
     backend: str = "centralized"
     nodes: int = 4
     replication: int = 2
-    vnodes: int = 16
-    bits: int = 32
-    hosts: tuple[str, ...] = field(default=())
-    daemons: bool = False
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -69,10 +53,6 @@ class DirectorySpec:
             raise ProtocolError("directory needs at least one node")
         if self.replication < 1:
             raise ProtocolError("replication must be >= 1")
-        if self.daemons and self.backend == "centralized":
-            raise ProtocolError(
-                "daemons=True needs a distributed backend "
-                "(sharded or chord)")
 
     @property
     def distributed(self) -> bool:

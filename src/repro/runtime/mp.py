@@ -76,10 +76,8 @@ from repro.core.streaming import (
     ChunkAssembler,
     ChunkSource,
 )
-from repro.directory.chordring import ChordRing
-from repro.directory.hashring import HashRing
 from repro.directory.spec import DirectorySpec
-from repro.obs import MetricsRegistry, ObsConfig, RegistryCollector, WorkerObs
+from repro.obs import ObsConfig, RegistryCollector, WorkerObs
 from repro.obs.metrics import POW2_BUCKETS
 from repro.recovery.spec import RecoverySpec, WorkerRecoveryConfig
 from repro.recovery.supervisor import Supervisor
@@ -216,74 +214,6 @@ class _SharedBandwidthBudget:
 # registry (the scheduler), runs as a thread in the launcher process
 # ---------------------------------------------------------------------------
 
-class _LogicalDirectory:
-    """Sharded / Chord view of the registry's location records.
-
-    The default mp directory keeps a single registry TCP server (pass
-    ``DirectorySpec(..., daemons=True)`` for real out-of-process shard
-    daemons — :mod:`repro.runtime.mp_directory`); here the
-    *partitioning* is what is exercised: records live in
-    per-node stores assigned by the same :class:`HashRing` /
-    :class:`ChordRing` structures the simulator's daemons use, every
-    lookup is routed to its serving node (walking real finger-table hops
-    for chord), and per-node counters expose the load split the ablation
-    measures. Writes are applied under the registry lock, version-stamped
-    to each owner, exactly as the simulator's publisher would converge
-    them.
-    """
-
-    def __init__(self, spec: DirectorySpec,
-                 metrics: MetricsRegistry | None = None):
-        self.spec = spec
-        ids = list(range(spec.nodes))
-        if spec.backend == "sharded":
-            self.topology = HashRing(ids, replication=spec.replication,
-                                     vnodes=spec.vnodes)
-        else:
-            self.topology = ChordRing(ids, replication=spec.replication,
-                                      bits=spec.bits)
-        #: node -> rank -> {"status", "addr", "init_addr", "version"}
-        self.stores: dict[int, dict[int, dict]] = {i: {} for i in ids}
-        # the single source of truth for per-node load counters; the
-        # dict-shaped view the ablation reads is derived in stats()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._counters = {
-            i: {name: self.metrics.counter(f"dir.{name}", node=i)
-                for name in ("lookups", "forwards", "updates")}
-            for i in ids}
-        self._versions: dict[int, int] = {}
-
-    def write(self, rank: int, status: str, addr: tuple | None,
-              init_addr: tuple | None) -> None:
-        version = self._versions.get(rank, 0) + 1
-        self._versions[rank] = version
-        rec = {"status": status, "addr": addr, "init_addr": init_addr,
-               "version": version}
-        for node in self.topology.owners(rank):
-            self.stores[node][rank] = rec
-            self._counters[node]["updates"].inc()
-
-    def lookup(self, rank: int, entry: int | None = None
-               ) -> tuple[dict | None, int]:
-        """The owning node's record of *rank*, plus hops taken to it."""
-        if isinstance(self.topology, ChordRing):
-            if entry is None:
-                entry = rank % len(self.topology.nodes)
-            path = self.topology.route(entry, rank)
-            for node in path[:-1]:
-                self._counters[node]["forwards"].inc()
-            serving, hops = path[-1], len(path) - 1
-        else:
-            serving, hops = self.topology.primary(rank), 0
-        self._counters[serving]["lookups"].inc()
-        return self.stores[serving].get(rank), hops
-
-    def stats(self) -> dict[int, dict[str, int]]:
-        """Per-node counter view, derived from the metrics registry."""
-        return {i: {name: c.value for name, c in counters.items()}
-                for i, counters in self._counters.items()}
-
-
 class _Registry:
     """Rank → address table plus migration coordination."""
 
@@ -291,19 +221,15 @@ class _Registry:
                  obs: ObsConfig | None = None,
                  dir_wal: str | None = None) -> None:
         spec = DirectorySpec.coerce(directory)
-        self.spec = spec
         self.collector = RegistryCollector() if obs is not None else None
         metrics = self.collector.metrics if self.collector else None
-        #: daemons=True: records live in out-of-process shard daemons
+        #: sharded: records live in out-of-process shard daemons
         #: (repro.runtime.mp_directory); the registry keeps its in-memory
         #: maps as the authoritative scheduler-fallback view and the
         #: ("lookup",) ctl frame answers from those
         self.daemon_host = (DirectoryDaemonHost(spec, metrics=metrics,
                                                 wal_dir=dir_wal)
-                            if spec.distributed and spec.daemons else None)
-        self.directory = (_LogicalDirectory(spec, metrics=metrics)
-                          if spec.distributed and not spec.daemons
-                          else None)
+                            if spec.distributed else None)
         # migration-window bookkeeping is always on (two clock reads per
         # migration) so the obs-on/obs-off A/B measures identical spans
         self._mig_t0: dict[int, float] = {}
@@ -380,19 +306,11 @@ class _Registry:
                 elif kind == "lookup":
                     _, target = frame
                     with self._lock:
-                        if self.directory is not None:
-                            rec, _hops = self.directory.lookup(target)
-                            # an unknown record is "starting", never
-                            # terminated — the requester retries
-                            st = rec["status"] if rec else "starting"
-                            addr = (rec["init_addr"] if st == "migrating"
-                                    else rec["addr"]) if rec else None
+                        st = self.status.get(target, "starting")
+                        if st == "migrating":
+                            addr = self.init_addr.get(target)
                         else:
-                            st = self.status.get(target, "starting")
-                            if st == "migrating":
-                                addr = self.init_addr.get(target)
-                            else:
-                                addr = self.locations.get(target)
+                            addr = self.locations.get(target)
                     send_frame(conn, ("location", target, st, addr))
                 elif kind == "migration_start":
                     _, rank = frame
@@ -468,14 +386,9 @@ class _Registry:
             return
 
     def _dir_write(self, rank: int) -> None:
-        """Mirror the current record into the directory (with the
-        registry lock held): the in-registry logical shards, or — with
-        daemons — a non-blocking publish to the shard processes (the
-        host's publisher thread retransmits until every owner acks)."""
-        if self.directory is not None:
-            self.directory.write(rank, self.status.get(rank, "starting"),
-                                 self.locations.get(rank),
-                                 self.init_addr.get(rank))
+        """Mirror the current record into the shard daemons (with the
+        registry lock held): a non-blocking publish — the host's
+        publisher thread retransmits until every owner acks."""
         if self.daemon_host is not None:
             self.daemon_host.publish(rank,
                                      self.status.get(rank, "starting"),
@@ -1900,7 +1813,7 @@ class MPCluster:
                 delta_max_chain=self.recovery.delta_max_chain,
                 delta_gc=self.recovery.delta_gc)
             spec = DirectorySpec.coerce(directory)
-            if self.recovery.shard_wal and spec.distributed and spec.daemons:
+            if self.recovery.shard_wal and spec.distributed:
                 dir_wal = os.path.join(self._recovery_root, "dirwal")
         self.registry = _Registry(directory=directory, obs=self.obs,
                                   dir_wal=dir_wal)
@@ -2331,30 +2244,20 @@ class MPCluster:
         self._cleanup_recovery_dir()
         return dict(self.registry.results)
 
-    def directory_stats(self) -> dict[int, dict[str, int]] | None:
-        """Per-directory-node lookup/forward/update counters.
-
-        Logical (in-registry) shards: derived from the directory's
-        metrics registry — the same counters ``metrics_snapshot()``
-        exposes as ``dir.*`` — so the two views cannot drift. Daemon
-        shards: each live daemon is polled over its own socket
-        (unreachable daemons report ``None``).
-        """
+    def directory_stats(self) -> dict[int, dict | None] | None:
+        """Per-shard lookup/update counters, each live daemon polled
+        over its own socket (unreachable daemons report ``None``);
+        ``None`` with the centralized directory."""
         host = self.registry.daemon_host
-        if host is not None:
-            return host.poll_stats()
-        if self.registry.directory is None:
-            return None
-        with self.registry._lock:
-            return self.registry.directory.stats()
+        return host.poll_stats() if host is not None else None
 
-    # -- shard-daemon control (daemons=True) --------------------------------
+    # -- shard-daemon control (directory="sharded") -------------------------
     def _daemon_host(self) -> DirectoryDaemonHost:
         host = self.registry.daemon_host
         if host is None:
             raise RuntimeError(
-                "no shard daemons; construct MPCluster(directory="
-                "DirectorySpec(backend='sharded', daemons=True))")
+                "no shard daemons; construct "
+                "MPCluster(directory='sharded')")
         return host
 
     def directory_kill(self, node_id: int) -> None:

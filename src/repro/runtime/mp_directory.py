@@ -1,18 +1,16 @@
 """Out-of-process directory daemons for the multiprocess runtime.
 
-The simulator's distributed directory runs its nodes as daemon processes
-in *virtual* time; the mp runtime used to fake the same partitioning
-inside the registry process (``repro.runtime.mp._LogicalDirectory``).
-This module promotes the shards to standalone OS processes, each with
-its own listening socket, so the failure model the sim stress suite
-assumes — a shard that *dies* — can be exercised for real:
+The simulator's sharded directory runs its nodes as daemon processes in
+*virtual* time; on the mp runtime the same consistent-hash shards are
+standalone OS processes, each with its own listening socket, so the
+failure model the sim stress suite assumes — a shard that *dies* — is
+exercised for real:
 
 * :func:`shard_daemon_main` is the daemon: one forked OS process per
   directory node, serving :class:`~repro.directory.messages.DirLookup` /
   :class:`~repro.directory.messages.DirUpdate` over TCP with the same
   length-prefixed framing (and the same allowlist unpickler) as the rest
-  of the mp runtime. Chord nodes forward non-owned lookups to the next
-  finger-table hop over a real socket and relay the answer back.
+  of the mp runtime.
 * :class:`DirectoryDaemonHost` lives in the launcher: it spawns the
   daemons, publishes version-stamped location records to the owners
   (retransmitting until acked — the mp analogue of the simulator's
@@ -22,14 +20,13 @@ assumes — a shard that *dies* — can be exercised for real:
   :meth:`~DirectoryDaemonHost.leave` hand records over to their new
   owners one by one, verified record-by-record, before the ring flips.
 * :class:`MPDirectoryClient` is the worker-side failover ladder against
-  real sockets: replica walk (sharded) or entry rotation (chord) over
-  connection-refused / half-open / slow shards, ``unknown`` backoff,
-  scheduler fallback — the same ladder
+  real sockets: replica walk over connection-refused / half-open / slow
+  shards, ``unknown`` backoff, scheduler fallback — the same ladder
   :class:`~repro.directory.client.DirectoryClient` runs under the sim
   fault adversary, now driven by genuine ``ECONNREFUSED`` and socket
   timeouts.
 
-Consistency model is unchanged from the sim backends: the registry (the
+Consistency model is unchanged from the sim daemons: the registry (the
 scheduler) is the **single writer**; daemons are version-checked read
 replicas that answer ``unknown`` — never ``terminated`` — for a record
 they do not hold, so a freshly restarted (empty) shard can only delay a
@@ -52,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.messages import LookupReply
-from repro.directory.chordring import ChordRing
 from repro.directory.hashring import HashRing
 from repro.directory.messages import DirLookup, DirUpdate, DirUpdateAck
 from repro.directory.spec import DirectorySpec
@@ -112,19 +108,11 @@ HANDOFF_TIMEOUT = 2.0
 _BACKLOG = 16
 
 
-def _make_topology(backend: str, node_ids, replication: int,
-                   vnodes: int, bits: int):
-    if backend == "sharded":
-        return HashRing(node_ids, replication=replication, vnodes=vnodes)
-    return ChordRing(node_ids, replication=replication, bits=bits)
-
-
 # ---------------------------------------------------------------------------
 # the shard daemon (one OS process per directory node)
 # ---------------------------------------------------------------------------
 
-def _daemon_reply(records: dict, rank: int, token: int,
-                  hops: int) -> LookupReply:
+def _daemon_reply(records: dict, rank: int, token: int) -> LookupReply:
     """Build a lookup reply from this daemon's record of *rank*.
 
     Mirrors the mp registry's reply semantics — ``migrating`` redirects
@@ -134,21 +122,19 @@ def _daemon_reply(records: dict, rank: int, token: int,
     """
     rec = records.get(rank)
     if rec is None:
-        return LookupReply(rank, "unknown", None, token, hops=hops)
+        return LookupReply(rank, "unknown", None, token)
     status, addr, init_addr, _version = rec
     if status == "migrating":
         return LookupReply(rank, "migrating", init_addr, token,
-                           init_vmid=init_addr, hops=hops)
+                           init_vmid=init_addr)
     if status == "terminated":
-        return LookupReply(rank, "terminated", None, token, hops=hops)
+        return LookupReply(rank, "terminated", None, token)
     # "running" (addr set) or "starting" (addr None): the requester
     # retries a None address exactly as with the registry's answer.
-    return LookupReply(rank, status, addr, token, hops=hops)
+    return LookupReply(rank, status, addr, token)
 
 
 def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
-                      backend: str, node_ids: tuple, peer_addrs: dict,
-                      replication: int, vnodes: int, bits: int,
                       wal_dir: str | None = None) -> None:
     """Entry point of one directory shard daemon (forked OS process).
 
@@ -170,55 +156,22 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
             except OSError:
                 pass
 
-    topology = _make_topology(backend, list(node_ids), replication,
-                              vnodes, bits)
-    chord = isinstance(topology, ChordRing)
     lock = threading.Lock()
     wal = DirectoryWAL(wal_dir) if wal_dir else None
     #: rank -> (status, addr, init_addr, version)
     records: dict[int, tuple] = wal.replay() if wal is not None else {}
-    stats = {"lookups": 0, "forwards": 0, "updates": 0,
-             "updates_ignored": 0, "unknown": 0,
-             "replayed": len(records), "compactions": 0}
-
-    def forward_lookup(next_node: int, msg: DirLookup) -> LookupReply:
-        """Chord hop: relay the lookup to *next_node*, wait, hand back.
-
-        A dead or deaf next hop degrades to an ``unknown`` answer — the
-        client then rotates its entry node, which is exactly the
-        failover the ladder tests exercise.
-        """
-        try:
-            with socket.create_connection(tuple(peer_addrs[next_node]),
-                                          timeout=CONNECT_TIMEOUT) as conn:
-                conn.settimeout(REPLY_TIMEOUT)
-                send_frame(conn, DirLookup(
-                    rank=msg.rank, reply_to=msg.reply_to, token=msg.token,
-                    hops=msg.hops + 1))
-                reply = recv_frame(conn)
-            if isinstance(reply, LookupReply) and reply.token == msg.token:
-                return reply
-        except (OSError, FrameClosed, UnsafeFrame, ValueError):
-            pass
-        return LookupReply(msg.rank, "unknown", None, msg.token,
-                           hops=msg.hops + 1)
+    stats = {"lookups": 0, "updates": 0, "updates_ignored": 0,
+             "unknown": 0, "replayed": len(records), "compactions": 0}
 
     def serve(conn: socket.socket) -> None:
         try:
             while True:
                 frame = recv_frame(conn)
                 if isinstance(frame, DirLookup):
-                    if chord:
-                        nxt = topology.next_hop(node_id, frame.rank)
-                        if nxt is not None:
-                            with lock:
-                                stats["forwards"] += 1
-                            send_frame(conn, forward_lookup(nxt, frame))
-                            continue
                     with lock:
                         stats["lookups"] += 1
                         reply = _daemon_reply(records, frame.rank,
-                                              frame.token, frame.hops)
+                                              frame.token)
                         if reply.status == "unknown":
                             stats["unknown"] += 1
                     send_frame(conn, reply)
@@ -264,7 +217,10 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
                     os._exit(0)
                 else:
                     raise ValueError(f"bad directory frame {frame!r}")
-        except (FrameClosed, OSError, UnsafeFrame):
+        except (FrameClosed, OSError, UnsafeFrame,
+                TypeError, IndexError, ValueError):
+            # a frame that is not this protocol's (wrong type, arity or
+            # field) is outside input: same as a closed connection
             pass
         finally:
             try:
@@ -344,12 +300,9 @@ class DaemonClientConfig:
     """
 
     epoch: int
-    backend: str
     node_ids: tuple
     addrs: dict = field(default_factory=dict)
     replication: int = 2
-    vnodes: int = 16
-    bits: int = 32
 
 
 class DirectoryDaemonHost:
@@ -389,9 +342,8 @@ class DirectoryDaemonHost:
         self._procs: dict[int, mp.process.BaseProcess] = {}
         self._dead: set[int] = set()
         self.epoch = 0
-        self.topology = _make_topology(spec.backend, self.node_ids,
-                                       spec.replication, spec.vnodes,
-                                       spec.bits)
+        self.topology = HashRing(self.node_ids,
+                                 replication=spec.replication)
         #: authoritative mirror (the single writer's view):
         #: rank -> (status, addr, init_addr, version)
         self._records: dict[int, tuple] = {}
@@ -406,8 +358,7 @@ class DirectoryDaemonHost:
         self._c_handoff = self.metrics.counter("dir.handoff_records")
         self._c_replayed = self.metrics.counter("recovery.replayed_records")
 
-        # spawn: bind every listener first so each daemon knows the full
-        # peer address map (chord forwards need it), then fork
+        # spawn: bind every listener, then fork
         listeners = {i: self._bind() for i in self.node_ids}
         self.addrs = {i: l.getsockname() for i, l in listeners.items()}
         for i in self.node_ids:
@@ -432,14 +383,11 @@ class DirectoryDaemonHost:
 
     def _fork(self, node_id: int,
               listeners: dict[int, socket.socket]) -> None:
-        spec = self.spec
         shard_wal = (os.path.join(self.wal_dir, f"shard-{node_id}")
                      if self.wal_dir is not None else None)
         p = self._ctx.Process(
             target=shard_daemon_main,
-            args=(node_id, listeners, spec.backend, tuple(self.node_ids),
-                  dict(self.addrs), spec.replication, spec.vnodes,
-                  spec.bits, shard_wal),
+            args=(node_id, listeners, shard_wal),
             daemon=True)
         p.start()
         self._procs[node_id] = p
@@ -656,12 +604,6 @@ class DirectoryDaemonHost:
         return False
 
     # -- membership churn --------------------------------------------------
-    def _require_sharded(self) -> None:
-        if self.spec.backend != "sharded":
-            raise ProtocolError(
-                "membership churn is supported for sharded daemons only "
-                "(chord rings are static per run)")
-
     def _push_and_verify(self, moves, records) -> list[HandoffRecord]:
         """Push each moved record to its gaining owners, read each back.
 
@@ -730,14 +672,12 @@ class DirectoryDaemonHost:
         are caught by a final re-enqueue of the moved records under the
         new ring (version checks make the overlap idempotent).
         """
-        self._require_sharded()
         with self._lock:
             new_id = self._next_id
             self._next_id += 1
             before = self.topology
             after = HashRing(self.node_ids + [new_id],
-                             replication=self.spec.replication,
-                             vnodes=self.spec.vnodes)
+                             replication=self.spec.replication)
             moves = plan_handoff(before, after, list(self._records))
             listener = self._bind()
             self.addrs[new_id] = listener.getsockname()
@@ -768,7 +708,6 @@ class DirectoryDaemonHost:
 
     def leave(self, node_id: int) -> MembershipChange:
         """Remove one shard: hand its records over, flip, shut it down."""
-        self._require_sharded()
         with self._lock:
             if node_id not in self.node_ids:
                 raise ProtocolError(f"shard {node_id} is not a member")
@@ -777,8 +716,7 @@ class DirectoryDaemonHost:
             before = self.topology
             remaining = [i for i in self.node_ids if i != node_id]
             after = HashRing(remaining,
-                             replication=self.spec.replication,
-                             vnodes=self.spec.vnodes)
+                             replication=self.spec.replication)
             moves = plan_handoff(before, after, list(self._records))
         handoff = self._push_and_verify(moves, self._records)
         with self._lock:
@@ -830,12 +768,11 @@ class DirectoryDaemonHost:
     def membership(self) -> dict:
         """The client-facing membership view (plain data, wire-safe)."""
         with self._lock:
-            return {"epoch": self.epoch, "backend": self.spec.backend,
+            return {"epoch": self.epoch,
                     "node_ids": tuple(self.node_ids),
                     "addrs": {i: tuple(self.addrs[i])
                               for i in self.node_ids},
-                    "replication": self.spec.replication,
-                    "vnodes": self.spec.vnodes, "bits": self.spec.bits}
+                    "replication": self.spec.replication}
 
     def client_config(self) -> DaemonClientConfig:
         return DaemonClientConfig(**self.membership())
@@ -906,11 +843,9 @@ class MPDirectoryClient:
     The ladder, in order — the same one the sim client runs under the
     fault adversary, driven here by real socket errors:
 
-    1. **replica walk / entry rotation** — sharded clients walk the full
-       owner list each round (start rotated by ``salt`` + round, so
-       clients spread over replicas and a dead one cannot eat the whole
-       budget); chord clients enter the ring one node over per round and
-       the daemons route internally;
+    1. **replica walk** — the full owner list each round (start rotated
+       by ``salt`` + round, so clients spread over replicas and a dead
+       one cannot eat the whole budget);
     2. **unknown backoff** — a node that answers ``unknown`` (update in
        flight, or restarted empty) is backed off and the round retried;
     3. **scheduler fallback** — ``fallback(rank)`` answers
@@ -958,22 +893,15 @@ class MPDirectoryClient:
             return False
         self.close()
         self.epoch = config.epoch
-        self.backend = config.backend
-        self.node_ids = list(config.node_ids)
         self.addrs = {int(i): tuple(a) for i, a in config.addrs.items()}
-        self.topology = _make_topology(config.backend, self.node_ids,
-                                       config.replication, config.vnodes,
-                                       config.bits)
+        self.topology = HashRing(config.node_ids,
+                                 replication=config.replication)
         return True
 
     def candidates(self, rank: int, round_no: int) -> list[int]:
-        if self.backend == "sharded":
-            owners = self.topology.owners(rank)
-            k = (self.salt + round_no) % len(owners)
-            return owners[k:] + owners[:k]
-        # chord: one entry per round; the ring routes internally
-        return [self.node_ids[(self.salt + round_no)
-                              % len(self.node_ids)]]
+        owners = self.topology.owners(rank)
+        k = (self.salt + round_no) % len(owners)
+        return owners[k:] + owners[:k]
 
     # -- the lookup --------------------------------------------------------
     def lookup(self, rank: int) -> tuple[str, tuple | None]:

@@ -1,4 +1,4 @@
-"""End-to-end tests of the distributed location-directory backends.
+"""End-to-end tests of the sharded location directory.
 
 The scheduler stays the single writer; directory nodes are versioned
 read replicas. These tests force the interesting path: a rank migrates
@@ -18,7 +18,8 @@ from repro.analysis import directory_report
 from repro.directory import DirectorySpec
 from repro.runtime import MPCluster
 
-BACKENDS = ("sharded", "chord")
+#: the distributed backends (chord was deleted in PR 24)
+BACKENDS = ("sharded",)
 
 
 @pytest.fixture
@@ -114,9 +115,9 @@ def test_updates_replicate_to_all_owners(vm, backend):
 
 
 def test_backends_agree_with_centralized_results(kernel):
-    """Same program, three backends: same application-level outcome."""
+    """Same program, both backends: same application-level outcome."""
     outcomes = {}
-    for backend in (None, "sharded", "chord"):
+    for backend in (None, "sharded"):
         vm = VirtualMachine()
         for h in ("h0", "h1", "h2", "h3"):
             vm.add_host(h)
@@ -130,25 +131,7 @@ def test_backends_agree_with_centralized_results(kernel):
         check_invariants(vm, app, expect_migrations=1).raise_if_failed()
         outcomes[backend or "centralized"] = results[0]
         vm.shutdown()
-    assert outcomes["centralized"] == outcomes["sharded"] \
-        == outcomes["chord"]
-
-
-def test_chord_lookup_pays_forwarding_hops(vm):
-    """With one entry node and many chord nodes, lookups route."""
-    results: dict = {}
-    app = Application(vm, _late_contact_program(results),
-                      placement=["h0", "h1"], scheduler_host="h2",
-                      directory=DirectorySpec(backend="chord", nodes=8,
-                                              replication=1))
-    app.start()
-    app.migrate_at(0.005, 1, "h5")
-    app.run()
-    check_invariants(vm, app, expect_migrations=1).raise_if_failed()
-    # hop counts come back on the reply and land in the trace
-    replies = vm.trace.filter(kind="dir_reply")
-    assert replies, "no directory replies traced"
-    assert all(ev.detail["hops"] <= 4 for ev in replies)  # log2(8) + 1
+    assert outcomes["centralized"] == outcomes["sharded"]
 
 
 # ------------------------------------------------------------- mp runtime --
@@ -173,13 +156,20 @@ def _mp_pingpong(api, state):
     return {"rounds": i, "pids": pids}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mp_migration_with_logical_directory(backend):
-    cluster = MPCluster(_mp_pingpong, nranks=2, directory=backend)
+def test_mp_migration_with_sharded_directory():
+    """``directory="sharded"`` on mp means real shard daemon processes:
+    the registry publishes to them, the workers look peers up there."""
+    cluster = MPCluster(_mp_pingpong, nranks=2, directory="sharded")
     try:
         cluster.start()
         time.sleep(0.1)
         cluster.migrate(1)
+        cluster.wait_migrations(timeout=60)
+        assert cluster.directory_live_shards() == 4
+        # poll the daemons over their own sockets while they are still
+        # up — join() tears the host down with the rest of the registry
+        assert cluster.registry.daemon_host.flush(5.0)
+        stats = cluster.directory_stats()
         results = cluster.join(timeout=60)
     finally:
         cluster.terminate()
@@ -187,8 +177,8 @@ def test_mp_migration_with_logical_directory(backend):
     assert results[1]["rounds"] == 60
     assert len(results[1]["pids"]) == 2  # the OS process really changed
 
-    stats = cluster.directory_stats()
-    assert stats is not None
-    # registration + migration updates reached the partitioned stores
+    assert all(s is not None for s in stats.values())
+    # registration + migration updates reached the shard processes, and
+    # the workers' lookups were answered there
     assert sum(s["updates"] for s in stats.values()) > 0
     assert sum(s["lookups"] for s in stats.values()) > 0

@@ -1,6 +1,6 @@
 """The directory client's failover ladder against real sockets.
 
-The sim fault adversary exercises the replica-walk / entry-rotation /
+The sim fault adversary exercises the replica-walk /
 scheduler-fallback ladder in virtual time; these tests drive the mp
 client (:class:`repro.runtime.mp_directory.MPDirectoryClient`) against
 *real* failure modes on real TCP sockets:
@@ -21,19 +21,25 @@ scripted shard in ``serve`` mode speaking the same
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import socket
+import sys
 import threading
 import time
 
+import pytest
+
 from repro.core.messages import LookupReply
 from repro.directory.hashring import HashRing
-from repro.directory.messages import DirLookup
+from repro.directory.messages import DirLookup, DirUpdateAck
 from repro.directory.spec import DirectorySpec
 from repro.runtime.framing import FrameClosed, recv_frame, send_frame
 from repro.runtime.mp_directory import (
     DaemonClientConfig,
     DirectoryDaemonHost,
     MPDirectoryClient,
+    shard_daemon_main,
 )
 
 
@@ -83,10 +89,10 @@ class ScriptedShard:
                 addr = self.records.get(msg.rank)
                 if addr is None:
                     reply = LookupReply(msg.rank, "unknown", None,
-                                        msg.token, hops=msg.hops)
+                                        msg.token)
                 else:
                     reply = LookupReply(msg.rank, "running", addr,
-                                        msg.token, hops=msg.hops)
+                                        msg.token)
                 send_frame(conn, reply)
         except (FrameClosed, OSError):
             pass
@@ -134,7 +140,7 @@ def saturated_listener() -> tuple:
 
 def sharded_config(addrs: dict, epoch: int = 0,
                    replication: int = 2) -> DaemonClientConfig:
-    return DaemonClientConfig(epoch=epoch, backend="sharded",
+    return DaemonClientConfig(epoch=epoch,
                               node_ids=tuple(sorted(addrs)), addrs=addrs,
                               replication=replication)
 
@@ -305,32 +311,10 @@ def test_stale_membership_is_not_adopted():
 
 # -- the ladder against real daemon processes ------------------------------
 
-def test_chord_entry_rotation_over_dead_entry():
-    """Chord: the round-robin entry node is dead — the next round enters
-    the ring one node over, whose daemon routes to the owner."""
-    spec = DirectorySpec(backend="chord", nodes=4, replication=2,
-                         daemons=True)
-    host = DirectoryDaemonHost(spec)
-    try:
-        for r in range(6):
-            host.publish(r, "running", ("127.0.0.1", 9300 + r), None)
-        assert host.flush(5.0)
-        client = host.make_client(
-            salt=0, fallback=lambda r: ("running", ("fb", r)))
-        host.kill(client.candidates(0, 0)[0])  # rank 0's round-0 entry
-        status, addr = client.lookup(0)
-        assert (status, addr) == ("running", ("127.0.0.1", 9300))
-        assert client.stats["dir_failovers"] >= 1
-        client.close()
-    finally:
-        host.close()
-
-
 def test_restarted_daemon_serves_after_reseed():
     """Kill → restart: the fresh (empty) daemon answers ``unknown``
     until the host re-publishes its records, then serves again."""
-    spec = DirectorySpec(backend="sharded", nodes=3, replication=1,
-                         daemons=True)
+    spec = DirectorySpec(backend="sharded", nodes=3, replication=1)
     host = DirectoryDaemonHost(spec)
     try:
         for r in range(12):
@@ -349,3 +333,48 @@ def test_restarted_daemon_serves_after_reseed():
         client.close()
     finally:
         host.close()
+
+
+# -- the daemon's own input boundary ---------------------------------------
+
+def _daemon_with_stderr_at(listener: socket.socket, err_path: str) -> None:
+    """Forked entry point: a shard daemon whose stderr is *err_path*,
+    with the interpreter's own thread excepthook (pytest's, inherited
+    over fork, would swallow the traceback this test looks for)."""
+    os.dup2(os.open(err_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), 2)
+    sys.stderr = os.fdopen(2, "w", buffering=1)
+    threading.excepthook = threading.__excepthook__
+    shard_daemon_main(0, {0: listener})
+
+
+def test_daemon_drops_non_protocol_frames_and_keeps_serving(tmp_path):
+    """Allowlisted frames that are not directory requests — replies, an
+    int, an empty or unknown tuple, a request missing its field — are a
+    closed connection, not an unhandled exception in the serve thread."""
+    hostile = [LookupReply(0, "unknown", None, 1),
+               DirUpdateAck(rank=0, version=1, node=0),
+               7, (), ("bogus",), ("records",)]
+    err_path = str(tmp_path / "daemon.stderr")
+    listener = socket.create_server(("127.0.0.1", 0))
+    addr = listener.getsockname()
+    proc = mp.get_context("fork").Process(
+        target=_daemon_with_stderr_at, args=(listener, err_path),
+        daemon=True)
+    proc.start()
+    listener.close()
+    try:
+        for frame in hostile:
+            with socket.create_connection(addr, timeout=2.0) as conn:
+                send_frame(conn, frame)
+                with pytest.raises(FrameClosed):  # dropped, no answer
+                    recv_frame(conn)
+        with socket.create_connection(addr, timeout=2.0) as conn:
+            send_frame(conn, DirLookup(rank=RANK, reply_to=None, token=9))
+            reply = recv_frame(conn)
+        assert (reply.status, reply.token) == ("unknown", 9)
+        assert proc.is_alive()
+    finally:
+        proc.terminate()
+        proc.join(timeout=5.0)
+    with open(err_path) as f:
+        assert f.read() == ""

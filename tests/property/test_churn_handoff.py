@@ -165,7 +165,7 @@ def test_real_daemon_churn_matches_the_plan():
     handoff is verified record-by-record over sockets, and the moved
     sets match what plan_handoff predicts from the rings alone."""
     spec = DirectorySpec(backend="sharded", nodes=3,
-                         replication=REPLICATION, daemons=True)
+                         replication=REPLICATION)
     host = DirectoryDaemonHost(spec)
     try:
         for r in range(16):

@@ -86,7 +86,7 @@ def _assert_lookup_contract(vm, app, nranks, received, count):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
-    backend=st.sampled_from(["centralized", "sharded", "chord"]),
+    backend=st.sampled_from(["centralized", "sharded"]),
     nranks=st.integers(2, 4),
     count=st.integers(3, 15),
     migrations=st.lists(
@@ -105,7 +105,6 @@ def test_lookup_returns_committed_location_after_k_migrations(
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
-    backend=st.sampled_from(["sharded", "chord"]),
     seed=st.integers(0, 2**16),
     count=st.integers(5, 12),
     migrations=st.lists(
@@ -116,15 +115,15 @@ def test_lookup_returns_committed_location_after_k_migrations(
 # two same-instant requests for rank 2: the second queues, opens on the
 # first's commit, and a duplicated MigrationCommit used to close it (p2.m1:
 # "MigrationStart: no response after 12 attempt(s)")
-@example(backend="sharded", seed=65535, count=5,
+@example(seed=65535, count=5,
          migrations=[(0.0625, 0, 0), (0.0625, 2, 0), (0.0625, 2, 0)])
 def test_lookup_contract_survives_drop_dup_adversary(
-        backend, seed, count, migrations):
-    """Distributed backends under a >=5% drop + dup fault plan: the
+        seed, count, migrations):
+    """The sharded backend under a >=5% drop + dup fault plan: the
     committed location still wins, and all theorem invariants hold."""
     plan = FaultPlan.lossy(seed, drop=0.05, dup=0.05)
     nranks = 3
-    vm, app, received = _run_ring(backend, nranks, count, migrations,
+    vm, app, received = _run_ring("sharded", nranks, count, migrations,
                                   plan=plan, seed=seed)
     _assert_lookup_contract(vm, app, nranks, received, count)
     # Theorems 1-3 from the trace. Theorem 4's completion bar is checked

@@ -32,7 +32,7 @@ pytestmark = pytest.mark.stress
 SMOKE = bool(os.environ.get("REPRO_RECOVERY_SMOKE"))
 
 COUNT = 60
-DIR_SPEC = dict(backend="sharded", nodes=3, replication=2, daemons=True)
+DIR_SPEC = dict(backend="sharded", nodes=3, replication=2)
 
 
 def _relay(api, state):

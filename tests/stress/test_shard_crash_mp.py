@@ -2,8 +2,8 @@
 
 Real OS processes end to end: worker ranks stream a tagged sequence
 through a relay while the location directory is served by out-of-process
-shard daemons (``DirectorySpec(daemons=True)``). Mid-workload we SIGKILL
-the shard that owns the migrating rank's record — the one the consumer's
+shard daemons (``DirectorySpec(backend="sharded")``). Mid-workload we
+SIGKILL the shard that owns the migrating rank's record — the one the consumer's
 first lookup round targets — and then migrate, so the reconnect path is
 forced through the failover ladder against a genuinely dead socket.
 
@@ -38,7 +38,7 @@ pytestmark = pytest.mark.stress
 SMOKE = bool(os.environ.get("REPRO_SHARD_SMOKE"))
 
 COUNT = 40
-SPEC = dict(backend="sharded", nodes=3, replication=2, daemons=True)
+SPEC = dict(backend="sharded", nodes=3, replication=2)
 
 
 def _relay(api, state):

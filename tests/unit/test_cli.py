@@ -118,27 +118,28 @@ def test_obs_report_rejects_malformed_artifact(tmp_path):
 def test_parser_directory_defaults():
     args = build_parser().parse_args(["directory"])
     assert args.command == "directory"
-    assert args.backend == "sharded" and args.nodes == 4
+    assert args.nodes == 4
     assert args.replication == 2 and args.kill is None and not args.churn
 
 
 def test_parser_directory_options():
     args = build_parser().parse_args(
-        ["directory", "--backend", "chord", "--nodes", "6",
-         "--kill", "2", "--rounds", "10"])
-    assert args.backend == "chord" and args.nodes == 6
+        ["directory", "--nodes", "6", "--kill", "2", "--rounds", "10"])
+    assert args.nodes == 6
     assert args.kill == 2 and args.rounds == 10
 
 
 def test_parser_directory_rejects_unknown_backend():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["directory", "--backend", "gossip"])
+    """One distributed backend, so no ``--backend`` flag to choose with."""
+    for value in ("gossip", "chord", "sharded"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["directory", "--backend", value])
 
 
 def test_directory_command_validates_arguments(capsys):
-    # churn is sharded-only; a bad kill target is refused up front
-    assert main(["directory", "--backend", "chord", "--churn"]) == 2
-    assert "sharded" in capsys.readouterr().out
+    # a bad kill target or shard count is refused up front
+    assert main(["directory", "--nodes", "0"]) == 2
+    assert "at least one node" in capsys.readouterr().out
     assert main(["directory", "--nodes", "3", "--kill", "7"]) == 2
     assert "not a shard id" in capsys.readouterr().out
 

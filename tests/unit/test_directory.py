@@ -1,20 +1,17 @@
 """Unit tests for the location-directory structures.
 
-Pure data-structure territory: the consistent-hash ring, the chord
-finger-table routing, the version-stamped records, and the centralized
-reference backend. No kernel, no messages.
+Pure data-structure territory: the consistent-hash ring, the
+version-stamped records, and the centralized reference backend. No
+kernel, no messages.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.core.pltable import PLTable
 from repro.directory import (
     CentralizedDirectory,
-    ChordRing,
     DirectorySpec,
     HashRing,
     LocationRecord,
@@ -89,54 +86,6 @@ def test_hashring_rejects_bad_parameters():
         HashRing(range(3), replication=0)
 
 
-# ----------------------------------------------------------------- ChordRing
-
-def test_chord_successor_is_primary_owner():
-    ring = ChordRing(range(8), replication=2)
-    for key in range(40):
-        owners = ring.owners(key)
-        assert ring.successor(key) == owners[0]
-        assert len(set(owners)) == 2
-
-
-def test_chord_next_hop_is_none_exactly_at_owners():
-    ring = ChordRing(range(8), replication=1)
-    for key in range(20):
-        for node in range(8):
-            hop = ring.next_hop(node, key)
-            if node in ring.owners(key):
-                assert hop is None
-            else:
-                assert hop is not None and hop != node
-
-
-def test_chord_route_reaches_owner_in_log_hops():
-    n = 16
-    ring = ChordRing(range(n), replication=1)
-    bound = int(math.log2(n)) + 2  # O(log N) + slack for the successor step
-    for key in range(60):
-        for start in (0, 5, n - 1):
-            path = ring.route(start, key)
-            assert path[0] == start
-            assert path[-1] in ring.owners(key)
-            assert len(path) - 1 <= bound
-            assert len(set(path)) == len(path), "no revisits"
-
-
-def test_chord_route_from_owner_is_trivial():
-    ring = ChordRing(range(8))
-    key = 7
-    owner = ring.successor(key)
-    assert ring.route(owner, key) == [owner]
-
-
-def test_chord_rejects_bad_parameters():
-    with pytest.raises(ProtocolError):
-        ChordRing([])
-    with pytest.raises(ProtocolError):
-        ChordRing(range(3), replication=0)
-
-
 # ------------------------------------------------------------ LocationRecord
 
 def test_record_version_ordering():
@@ -199,9 +148,19 @@ def test_centralized_is_live_coupled_to_the_pl_table():
 def test_spec_coerce_accepts_str_none_and_spec():
     assert DirectorySpec.coerce(None).backend == "centralized"
     assert not DirectorySpec.coerce(None).distributed
-    s = DirectorySpec.coerce("chord")
-    assert s.backend == "chord" and s.distributed
+    s = DirectorySpec.coerce("sharded")
+    assert s.backend == "sharded" and s.distributed
     assert DirectorySpec.coerce(s) is s
+
+
+def test_spec_rejects_the_deleted_backend_and_knob():
+    for make in (lambda: DirectorySpec(backend="chord"),
+                 lambda: DirectorySpec.coerce("chord")):
+        with pytest.raises(ProtocolError) as exc:
+            make()
+        assert "'centralized', 'sharded'" in str(exc.value)
+    with pytest.raises(TypeError):
+        DirectorySpec(backend="sharded", daemons=True)
 
 
 def test_spec_validates_parameters():

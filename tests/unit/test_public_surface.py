@@ -17,7 +17,8 @@ import pytest
 from repro import Application
 from repro.codec import decode, decode_owned, encode
 from repro.core.endpoint import MigrationEndpoint
-from repro.runtime import MPCluster
+from repro.directory import DirectorySpec
+from repro.runtime import DaemonClientConfig, MPCluster
 
 EXPECTED = {
     encode: {"obj", "arch"},
@@ -35,6 +36,9 @@ EXPECTED = {
     MPCluster: {
         "program", "nranks", "arch", "dest_arch", "directory", "obs",
         "init_states", "recovery", "chunk_bytes", "migration_concurrency"},
+    # dataclasses: the constructor's parameters are the fields
+    DirectorySpec: {"backend", "nodes", "replication"},
+    DaemonClientConfig: {"epoch", "node_ids", "addrs", "replication"},
 }
 
 
