@@ -15,6 +15,9 @@ stress: ## fault-adversarial runs checked against the paper's theorems
 loc:    ## source size, the figure CHANGES.md reports reductions in (ROADMAP aim 2)
 	@echo "lines:   $$(find src -name '*.py' | xargs cat | wc -l)"
 	@echo "modules: $$(find src -name '*.py' | wc -l)"
+	@echo "runtime/mp.py:           $$(wc -l < src/repro/runtime/mp.py)"
+	@echo "runtime/mp_directory.py: $$(wc -l < src/repro/runtime/mp_directory.py)"
+	@echo "core/endpoint.py + core/migration.py: $$(cat src/repro/core/endpoint.py src/repro/core/migration.py | wc -l)"
 
 bench:  ## regenerate the paper's tables/figures (print with -s)
 	python -m pytest benchmarks/ --benchmark-only -q

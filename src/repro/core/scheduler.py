@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.messages import (
     InitAbort,
-    LookupReply,
     LookupRequest,
     MigrateRequest,
     MigrationAbort,
@@ -44,6 +43,7 @@ from repro.core.gang import ADMIT, GangAdmission
 from repro.core.pltable import PLTable
 from repro.directory.base import CentralizedDirectory, LocationRecord
 from repro.directory.messages import DirRetransmitTick, DirUpdateAck
+from repro.directory.shard import reply_for
 from repro.vm.ids import Rank, VmId
 from repro.vm.messages import ControlEnvelope
 from repro.vm.process import ProcessContext
@@ -212,19 +212,10 @@ def scheduler_main(ctx: ProcessContext, state: SchedulerState) -> None:
 
         if isinstance(msg, LookupRequest):
             state.lookups_served += 1
-            status = state.status.get(msg.rank, STATUS_TERMINATED)
-            init = state.init_vmid.get(msg.rank)
-            if status == STATUS_MIGRATING:
-                reply = LookupReply(msg.rank, "migrate",
-                                    state.init_vmid[msg.rank], msg.token,
-                                    init_vmid=init)
-            elif status == STATUS_RUNNING:
-                reply = LookupReply(msg.rank, "running",
-                                    state.pl.lookup(msg.rank), msg.token,
-                                    init_vmid=init)
-            else:
-                reply = LookupReply(msg.rank, "terminated", None, msg.token,
-                                    init_vmid=init)
+            # the shards' reply ladder over the authoritative record (an
+            # unknown rank's record reads terminated)
+            reply = reply_for(msg.rank, state.directory.record(msg.rank),
+                              msg.token)
             vm.trace_record(ctx.name, "lookup_served", rank=msg.rank,
                             status=reply.status)
             ctx.route_control(msg.reply_to, reply)
@@ -379,7 +370,7 @@ def scheduler_main(ctx: ProcessContext, state: SchedulerState) -> None:
 
         elif isinstance(msg, DirUpdateAck):
             if state.publisher is not None:
-                state.publisher.on_ack(msg)
+                state.publisher.machine.on_ack(msg)
 
         elif isinstance(msg, DirRetransmitTick):
             if state.publisher is not None:

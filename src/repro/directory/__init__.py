@@ -6,25 +6,18 @@ The paper notes that service "could equally be distributed (DNS/LDAP/
 Chord-style)" because the communication-state-transfer protocol depends
 only on the **lookup contract** — a stale belief is corrected by one
 rejected connect plus one lookup — and not on the directory's internal
-structure. This package makes that observation executable: one small
-:class:`DirectoryService` interface (lookup / install / commit-migration)
-with two interchangeable backends:
+structure. This package makes that observation executable, with two
+backends behind one :class:`DirectoryService` contract:
 
 * ``centralized`` — the paper's configuration, the scheduler's own master
-  PL table (default; byte-for-byte behaviour preserving);
-* ``sharded`` — the rank → vmid space consistent-hash partitioned across
-  directory daemon shards, with configurable replication and
-  shard-failover retry on the client. This is the one distributed
-  directory: the simulator runs its nodes as daemon processes in virtual
-  time, the mp runtime as real shard OS processes
-  (:mod:`repro.runtime.mp_directory`).
-
-Reads scale out through the shards; writes stay with the scheduler,
-which remains the single coordinator of migrations (it is the only
-writer) and *publishes* location updates to the directory nodes
-(version-stamped, acknowledged, retransmitted until applied — the
-publication layer tolerates the drop/dup/delay adversary of
-:mod:`repro.sim.faults`).
+  PL table (the default);
+* ``sharded`` — ranks consistent-hash partitioned across replicated
+  directory shards. Reads go to the shards; the scheduler stays the
+  single writer and *publishes* version-stamped updates until acked.
+  The shard's decisions are the pure machines of
+  :mod:`repro.directory.shard`, driven in virtual time by the simulator
+  (:mod:`~repro.directory.daemons`) and over sockets by real shard
+  processes (:mod:`repro.runtime.mp_directory`).
 """
 
 from repro.directory.base import (
@@ -41,7 +34,6 @@ from repro.directory.cache import CacheStats, LocationCache
 from repro.directory.client import DirectoryClient
 from repro.directory.daemons import (
     DirectoryCluster,
-    DirectoryNode,
     DirectoryPublisher,
     directory_node_main,
 )
@@ -67,7 +59,6 @@ __all__ = [
     "DirUpdateAck",
     "DirectoryClient",
     "DirectoryCluster",
-    "DirectoryNode",
     "DirectoryPublisher",
     "DirectoryService",
     "DirectorySpec",

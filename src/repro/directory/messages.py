@@ -40,7 +40,8 @@ class DirUpdate:
 
     ``node`` names the target node id so the matching ack identifies
     which replica applied it. Applied only if ``version`` is newer than
-    the record the node holds (idempotent under duplication).
+    the record the node holds (idempotent under duplication). The ack
+    goes back to the sender — the scheduler, the single writer.
     """
 
     rank: Rank
@@ -48,7 +49,6 @@ class DirUpdate:
     vmid: VmId | None
     init_vmid: VmId | None
     version: int
-    reply_to: VmId
     node: int
 
 

@@ -76,6 +76,8 @@ from repro.core.streaming import (
     ChunkAssembler,
     ChunkSource,
 )
+from repro.directory.base import LocationRecord
+from repro.directory.shard import reply_for
 from repro.directory.spec import DirectorySpec
 from repro.obs import ObsConfig, RegistryCollector, WorkerObs
 from repro.obs.metrics import POW2_BUCKETS
@@ -306,12 +308,14 @@ class _Registry:
                 elif kind == "lookup":
                     _, target = frame
                     with self._lock:
-                        st = self.status.get(target, "starting")
-                        if st == "migrating":
-                            addr = self.init_addr.get(target)
-                        else:
-                            addr = self.locations.get(target)
-                    send_frame(conn, ("location", target, st, addr))
+                        rec = LocationRecord(
+                            target, self.status.get(target, "starting"),
+                            self.locations.get(target),
+                            self.init_addr.get(target))
+                    # the shards' reply ladder: one vocabulary for lookups
+                    reply = reply_for(target, rec, 0)
+                    send_frame(conn, ("location", target, reply.status,
+                                      reply.vmid))
                 elif kind == "migration_start":
                     _, rank = frame
                     with self._lock:

@@ -1,38 +1,23 @@
-"""Out-of-process directory daemons for the multiprocess runtime.
+"""The sharded directory on the multiprocess runtime: drivers over sockets.
 
-The simulator's sharded directory runs its nodes as daemon processes in
-*virtual* time; on the mp runtime the same consistent-hash shards are
-standalone OS processes, each with its own listening socket, so the
-failure model the sim stress suite assumes — a shard that *dies* — is
-exercised for real:
+Every directory decision is one of the pure machines of
+:mod:`repro.directory.shard`, the ones the simulator drives in virtual
+time; here the shards are forked OS processes, so the failure the sim
+stress suite assumes — a shard that *dies* — happens for real:
 
-* :func:`shard_daemon_main` is the daemon: one forked OS process per
-  directory node, serving :class:`~repro.directory.messages.DirLookup` /
-  :class:`~repro.directory.messages.DirUpdate` over TCP with the same
-  length-prefixed framing (and the same allowlist unpickler) as the rest
-  of the mp runtime.
-* :class:`DirectoryDaemonHost` lives in the launcher: it spawns the
-  daemons, publishes version-stamped location records to the owners
-  (retransmitting until acked — the mp analogue of the simulator's
-  :class:`~repro.directory.daemons.DirectoryPublisher`), SIGKILLs and
-  restarts shards for the crash-stop scenarios, and runs scheduler-driven
-  membership churn: :meth:`~DirectoryDaemonHost.join` /
-  :meth:`~DirectoryDaemonHost.leave` hand records over to their new
-  owners one by one, verified record-by-record, before the ring flips.
-* :class:`MPDirectoryClient` is the worker-side failover ladder against
-  real sockets: replica walk over connection-refused / half-open / slow
-  shards, ``unknown`` backoff, scheduler fallback — the same ladder
-  :class:`~repro.directory.client.DirectoryClient` runs under the sim
-  fault adversary, now driven by genuine ``ECONNREFUSED`` and socket
-  timeouts.
+* :func:`shard_daemon_main` serves one :class:`ShardNode` over TCP (the
+  mp runtime's framing and allowlist unpickler), plus the WAL append;
+* :class:`DirectoryDaemonHost`, in the launcher, spawns the daemons,
+  drives the :class:`Publisher` from a background thread, kills and
+  restarts shards, and runs membership churn (:meth:`join` /
+  :meth:`leave` hand records over one by one, verified, before the ring
+  flips);
+* :class:`MPDirectoryClient` drives the :class:`LookupLadder`, with
+  connection-refused / half-open / slow shards as unreachable answers.
 
-Consistency model is unchanged from the sim daemons: the registry (the
-scheduler) is the **single writer**; daemons are version-checked read
-replicas that answer ``unknown`` — never ``terminated`` — for a record
-they do not hold, so a freshly restarted (empty) shard can only delay a
-client, not wreck it. The scheduler fallback keeps the lookup contract
-("a committed location is eventually returned") independent of shard
-liveness.
+The registry (the scheduler) is the single writer and its answer is the
+ladder's last rung, so the lookup contract ("a committed location is
+eventually returned") does not depend on shard liveness.
 """
 
 from __future__ import annotations
@@ -49,8 +34,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.messages import LookupReply
+from repro.directory.base import LocationRecord
 from repro.directory.hashring import HashRing
 from repro.directory.messages import DirLookup, DirUpdate, DirUpdateAck
+from repro.directory.shard import (
+    Done,
+    LookupLadder,
+    Publisher,
+    ShardNode,
+    plan_handoff,
+    update_for,
+)
 from repro.directory.spec import DirectorySpec
 from repro.directory.wal import DirectoryWAL
 from repro.obs.metrics import MetricsRegistry
@@ -87,14 +81,12 @@ for _module, _name in (
 ):
     allow_frame_global(_module, _name)
 
-#: Client-side budgets. Loopback connection-refused is immediate, so the
-#: dominant failure cost is a half-open / deaf shard eating REPLY_TIMEOUT
-#: once per candidate; the whole ladder is bounded by
-#: rounds * candidates * (CONNECT + REPLY) + backoff + one scheduler RPC.
+#: Client-side budgets: a lookup is bounded by rounds * candidates *
+#: (CONNECT + REPLY) + backoff + one scheduler RPC.
 CONNECT_TIMEOUT = 0.5
 REPLY_TIMEOUT = 1.0
-#: Rounds across the shards before the scheduler answers, and the base
-#: backoff between "unknown" rounds (mirrors repro.directory.client).
+#: Rounds across the shards before the scheduler answers (two over real
+#: timeouts), and the base backoff between rounds.
 UNKNOWN_ROUNDS = 2
 UNKNOWN_BACKOFF = 0.02
 
@@ -106,127 +98,130 @@ ACK_TIMEOUT = 0.5
 HANDOFF_TIMEOUT = 2.0
 
 _BACKLOG = 16
+_SOCKET_ERRORS = (OSError, FrameClosed, UnsafeFrame, ValueError)
+
+
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+def _request(addr: tuple, frame: Any, timeout: float = REPLY_TIMEOUT):
+    """One frame out and one back on a fresh connection; ``None`` if the
+    shard is unreachable or the exchange fails."""
+    try:
+        with socket.create_connection(tuple(addr),
+                                      timeout=CONNECT_TIMEOUT) as conn:
+            conn.settimeout(timeout)
+            send_frame(conn, frame)
+            return recv_frame(conn)
+    except _SOCKET_ERRORS:
+        return None
+
+
+def _exchange(conns: dict, node: int, addr: tuple, frame: Any,
+              timeout: float, valid: Callable[[Any], bool]):
+    """One request/reply on *node*'s connection cached in *conns*;
+    ``None`` on failure or a reply failing *valid*. A cached connection
+    may be stale (the shard restarted), so it earns one fresh retry."""
+    conn = conns.pop(node, None)
+    for _ in range(2 if conn is not None else 1):
+        try:
+            if conn is None:
+                conn = socket.create_connection(tuple(addr),
+                                                timeout=CONNECT_TIMEOUT)
+                conn.settimeout(timeout)
+            send_frame(conn, frame)
+            reply = recv_frame(conn)
+            if not valid(reply):
+                raise ValueError(f"bad shard reply {reply!r}")
+            conns[node] = conn
+            return reply
+        except _SOCKET_ERRORS:
+            if conn is not None:
+                _close(conn)
+            conn = None
+    return None
+
+
+def _row(rec: LocationRecord) -> tuple:
+    """A record as the WAL and the ``records`` frame carry it."""
+    return (rec.status, rec.vmid, rec.init_vmid, rec.version)
 
 
 # ---------------------------------------------------------------------------
 # the shard daemon (one OS process per directory node)
 # ---------------------------------------------------------------------------
 
-def _daemon_reply(records: dict, rank: int, token: int) -> LookupReply:
-    """Build a lookup reply from this daemon's record of *rank*.
-
-    Mirrors the mp registry's reply semantics — ``migrating`` redirects
-    to the initialized process's address — with the directory-specific
-    rule: a missing record answers ``unknown`` (an update may still be
-    in flight, or this shard restarted empty), never ``terminated``.
-    """
-    rec = records.get(rank)
-    if rec is None:
-        return LookupReply(rank, "unknown", None, token)
-    status, addr, init_addr, _version = rec
-    if status == "migrating":
-        return LookupReply(rank, "migrating", init_addr, token,
-                           init_vmid=init_addr)
-    if status == "terminated":
-        return LookupReply(rank, "terminated", None, token)
-    # "running" (addr set) or "starting" (addr None): the requester
-    # retries a None address exactly as with the registry's answer.
-    return LookupReply(rank, status, addr, token)
-
-
 def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
                       wal_dir: str | None = None) -> None:
     """Entry point of one directory shard daemon (forked OS process).
 
     ``listeners`` maps node id → listening socket as inherited over
-    fork; every listener except our own is closed immediately, so a
-    SIGKILLed sibling's port really dies with it (a held fd would keep
-    accepting into a void).
-
-    With *wal_dir* the shard is durable: accepted updates are appended
-    (and fsynced) to a :class:`~repro.directory.wal.DirectoryWAL`
-    *before* the ack goes out, and a restart replays the log — the shard
-    comes back serving its records without the registry re-seed.
+    fork; all but our own are closed at once, so a SIGKILLed sibling's
+    port really dies with it. With *wal_dir* accepted updates are
+    fsynced to a :class:`~repro.directory.wal.DirectoryWAL` before the
+    ack goes out, and a restart replays the log instead of waiting for
+    the re-seed.
     """
     listener = listeners[node_id]
     for other_id, other in listeners.items():
         if other_id != node_id:
-            try:
-                other.close()
-            except OSError:
-                pass
+            _close(other)
 
     lock = threading.Lock()
     wal = DirectoryWAL(wal_dir) if wal_dir else None
-    #: rank -> (status, addr, init_addr, version)
-    records: dict[int, tuple] = wal.replay() if wal is not None else {}
-    stats = {"lookups": 0, "updates": 0, "updates_ignored": 0,
-             "unknown": 0, "replayed": len(records), "compactions": 0}
+    node = ShardNode({rank: LocationRecord(rank, *row)
+                      for rank, row in wal.replay().items()}
+                     if wal is not None else None)
+    replayed = len(node.records)
+
+    def answer(frame: Any) -> Any:
+        if isinstance(frame, DirLookup):
+            return node.reply(frame.rank, frame.token)
+        if isinstance(frame, DirUpdate):
+            ack, applied = node.apply(frame)
+            if applied and wal is not None:
+                # durability before acknowledgement: the write side may
+                # prune its retransmit state the moment the ack lands
+                wal.append(frame.rank, _row(node.records[frame.rank]))
+                wal.maybe_compact({rank: _row(rec) for rank, rec
+                                   in node.records.items()})
+            return ack
+        if frame[0] == "records":
+            ranks = node.records if frame[1] is None else frame[1]
+            return ("records", {rank: _row(node.records[rank])
+                                for rank in ranks if rank in node.records})
+        if frame[0] == "stats":
+            s = node.stats
+            return ("stats", node_id, {
+                "lookups": s.lookups_served, "updates": s.updates_applied,
+                "updates_ignored": s.updates_ignored,
+                "unknown": s.unknown_served, "replayed": replayed,
+                "compactions": wal.compactions if wal is not None else 0})
+        if frame[0] == "shutdown":
+            return ("bye", node_id)
+        raise ValueError(f"bad directory frame {frame!r}")
 
     def serve(conn: socket.socket) -> None:
         try:
             while True:
                 frame = recv_frame(conn)
-                if isinstance(frame, DirLookup):
-                    with lock:
-                        stats["lookups"] += 1
-                        reply = _daemon_reply(records, frame.rank,
-                                              frame.token)
-                        if reply.status == "unknown":
-                            stats["unknown"] += 1
-                    send_frame(conn, reply)
-                elif isinstance(frame, DirUpdate):
-                    rec = (frame.status, frame.vmid, frame.init_vmid,
-                           frame.version)
-                    with lock:
-                        cur = records.get(frame.rank)
-                        if cur is None or frame.version > cur[3]:
-                            records[frame.rank] = rec
-                            stats["updates"] += 1
-                            if wal is not None:
-                                # durability before acknowledgement: the
-                                # write side may prune its retransmit
-                                # state the moment the ack lands
-                                wal.append(frame.rank, rec)
-                                if wal.maybe_compact(records):
-                                    stats["compactions"] = wal.compactions
-                        else:
-                            stats["updates_ignored"] += 1
-                        held = records[frame.rank][3]
-                    send_frame(conn, DirUpdateAck(
-                        rank=frame.rank, version=held, node=node_id))
-                elif frame[0] == "records":
-                    ranks = frame[1]
-                    with lock:
-                        if ranks is None:
-                            out = dict(records)
-                        else:
-                            out = {r: records[r] for r in ranks
-                                   if r in records}
-                    send_frame(conn, ("records", out))
-                elif frame[0] == "stats":
-                    with lock:
-                        send_frame(conn, ("stats", node_id, dict(stats)))
-                elif frame[0] == "ping":
-                    send_frame(conn, ("pong", node_id))
-                elif frame[0] == "shutdown":
-                    send_frame(conn, ("bye", node_id))
-                    # graceful leave: flush the reply, then exit hard —
+                with lock:
+                    reply = answer(frame)
+                send_frame(conn, reply)
+                if reply == ("bye", node_id):
+                    # graceful leave: the reply is flushed, exit hard —
                     # other serve threads hold no state worth unwinding
-                    conn.close()
                     os._exit(0)
-                else:
-                    raise ValueError(f"bad directory frame {frame!r}")
-        except (FrameClosed, OSError, UnsafeFrame,
-                TypeError, IndexError, ValueError):
+        except _SOCKET_ERRORS + (TypeError, IndexError):
             # a frame that is not this protocol's (wrong type, arity or
             # field) is outside input: same as a closed connection
             pass
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close(conn)
 
     while True:
         try:
@@ -234,30 +229,6 @@ def shard_daemon_main(node_id: int, listeners: dict[int, socket.socket],
         except OSError:
             os._exit(0)
         threading.Thread(target=serve, args=(conn,), daemon=True).start()
-
-
-# ---------------------------------------------------------------------------
-# membership-change planning (pure; property-tested against HashRing)
-# ---------------------------------------------------------------------------
-
-def plan_handoff(before, after, keys) -> list[tuple[Any, tuple, tuple]]:
-    """The record moves a membership change requires.
-
-    Returns ``(key, old_owners, gained_owners)`` for every key whose
-    owner set gains at least one node under the *after* topology — i.e.
-    exactly the records that must be pushed somewhere new. Consistent
-    hashing is what keeps this list small: the moved keys are the arcs
-    the joining (or inherited-from-leaving) node takes over, not a
-    global reshuffle; ``tests/property/test_churn_handoff.py`` pins that
-    bound against :class:`~repro.directory.hashring.HashRing` itself.
-    """
-    moves = []
-    for key in keys:
-        old = set(before.owners(key))
-        gained = tuple(sorted(set(after.owners(key)) - old))
-        if gained:
-            moves.append((key, tuple(sorted(old)), gained))
-    return moves
 
 
 @dataclass(frozen=True)
@@ -293,10 +264,8 @@ class MembershipChange:
 class DaemonClientConfig:
     """Everything a worker needs to consult the shard daemons.
 
-    Plain data (safe over fork and the allowlist wire): topologies are
-    rebuilt deterministically from the node ids, so only membership and
-    addresses travel. ``epoch`` orders membership views — a client
-    updates only to a strictly newer one.
+    Plain data (safe over fork and the allowlist wire): rings are
+    rebuilt from the node ids. A client adopts only a newer ``epoch``.
     """
 
     epoch: int
@@ -308,18 +277,10 @@ class DaemonClientConfig:
 class DirectoryDaemonHost:
     """Spawns, supervises and feeds the shard daemon processes.
 
-    Lives in the launcher process next to the mp registry. The host is
-    the write side (the registry calls :meth:`publish` with the registry
-    lock held; a background thread pushes version-stamped updates to the
-    owners and retransmits until acked) and the control plane (crash-stop
-    :meth:`kill` / :meth:`restart`, membership :meth:`join` /
-    :meth:`leave` with record-by-record handoff).
-
-    Observability: ``dir.live_shards`` and ``dir.handoff_backlog``
-    gauges plus ``dir.publishes`` / ``dir.publish_acks`` /
-    ``dir.publish_retransmits`` / ``dir.daemon_restarts`` /
-    ``dir.handoff_records`` counters land in *metrics* — the registry
-    collector's registry when observability is on, so they surface in
+    Lives in the launcher next to the mp registry, which calls
+    :meth:`publish` with its lock held. The ``dir.*`` gauges and
+    counters land in *metrics* — the registry collector's when
+    observability is on, so they surface in
     ``MPCluster.metrics_snapshot()`` next to the worker counters.
     """
 
@@ -335,7 +296,10 @@ class DirectoryDaemonHost:
         self.wal_dir = wal_dir
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._ctx = mp.get_context("fork")
+        #: guards membership, the records and the publisher; the
+        #: publisher thread and :meth:`flush` wait on ``_cond``
         self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self.node_ids: list[int] = list(range(spec.nodes))
         self._next_id = spec.nodes
         self.addrs: dict[int, tuple] = {}
@@ -344,10 +308,9 @@ class DirectoryDaemonHost:
         self.epoch = 0
         self.topology = HashRing(self.node_ids,
                                  replication=spec.replication)
-        #: authoritative mirror (the single writer's view):
-        #: rank -> (status, addr, init_addr, version)
-        self._records: dict[int, tuple] = {}
-        self._versions: dict[int, int] = {}
+        #: authoritative mirror (the single writer's view)
+        self._records: dict[int, LocationRecord] = {}
+        self.publisher = Publisher()
 
         self._g_live = self.metrics.gauge("dir.live_shards")
         self._g_backlog = self.metrics.gauge("dir.handoff_backlog")
@@ -367,10 +330,8 @@ class DirectoryDaemonHost:
             l.close()
         self._g_live.set(len(self.node_ids))
 
-        # publisher: (rank, node) -> newest unacked update
-        self._pending: dict[tuple[int, int], DirUpdate] = {}
-        self._cond = threading.Condition()
         self._closed = False
+        #: the publisher thread's own connections, one per node
         self._pub_conns: dict[int, socket.socket] = {}
         self._pub_thread = threading.Thread(target=self._publish_loop,
                                             daemon=True)
@@ -399,12 +360,8 @@ class DirectoryDaemonHost:
             return len(self.node_ids) - len(self._dead)
 
     def kill(self, node_id: int) -> None:
-        """SIGKILL one shard daemon — crash-stop, membership unchanged.
-
-        The ring keeps routing to the dead node; clients fail over on
-        connection-refused. :meth:`restart` brings it back (empty) at
-        the same address.
-        """
+        """SIGKILL one shard daemon — crash-stop, membership unchanged:
+        the ring keeps routing to it and clients fail over."""
         with self._lock:
             p = self._procs.get(node_id)
             if p is None or node_id in self._dead:
@@ -419,13 +376,11 @@ class DirectoryDaemonHost:
         """Respawn a killed shard at its old address; returns the number
         of records it replayed from its WAL (0 without one).
 
-        Without a WAL the fresh daemon starts *empty* — it answers
-        ``unknown`` until the re-seeded records land, which the version
-        check makes idempotent against anything the publisher was still
-        retrying. With a WAL the daemon replays its own log, so the
-        re-seed is skipped (*reseed* defaults to ``wal_dir is None``;
-        pass ``True``/``False`` to force either path — the stress suite
-        pins that a WAL restart converges with the re-seed disabled).
+        Without a WAL the fresh daemon starts *empty* and is re-seeded
+        from the records as they are after the fork (a publish racing
+        the restart is kept: the publisher never enqueues an older
+        version over it). With one it replays its log and the re-seed is
+        skipped; *reseed* forces either path.
         """
         if reseed is None:
             reseed = self.wal_dir is None
@@ -433,8 +388,6 @@ class DirectoryDaemonHost:
             if node_id not in self._dead:
                 raise ProtocolError(f"shard {node_id} is not dead")
             addr = self.addrs[node_id]
-            owned = {rank: rec for rank, rec in self._records.items()
-                     if node_id in self.topology.owners(rank)}
         deadline = time.time() + 5.0
         while True:
             try:
@@ -443,42 +396,28 @@ class DirectoryDaemonHost:
             except OSError:
                 if time.time() > deadline:
                     raise
+                # the killed daemon's port frees asynchronously; bounded
+                # by the 5 s deadline above
                 time.sleep(0.02)
-        with self._lock:
+        with self._cond:
             self._fork(node_id, {node_id: listener})
             self._dead.discard(node_id)
+            if reseed:
+                owned = [(rank, (), (node_id,)) for rank in self._records
+                         if node_id in self.topology.owners(rank)]
+                self.publisher.reassign(owned, self._records)
+                self._cond.notify_all()
         listener.close()
         self._c_restarts.inc()
         self._g_live.inc()
-        if reseed:
-            with self._cond:
-                for rank, rec in owned.items():
-                    self._pending[(rank, node_id)] = self._make_update(
-                        rank, rec, node_id)
-                self._cond.notify()
-        replayed = self._poll_replayed(node_id)
-        if replayed:
-            self._c_replayed.inc(replayed)
-        return replayed
-
-    def _poll_replayed(self, node_id: int) -> int:
-        """Best-effort read of a freshly restarted shard's replay count."""
-        with self._lock:
-            addr = self.addrs.get(node_id)
-        if addr is None or self.wal_dir is None:
+        if self.wal_dir is None:
             return 0
-        deadline = time.time() + 2.0
-        while time.time() < deadline:
-            try:
-                with socket.create_connection(
-                        tuple(addr), timeout=CONNECT_TIMEOUT) as conn:
-                    conn.settimeout(REPLY_TIMEOUT)
-                    send_frame(conn, ("stats",))
-                    _kind, _nid, stats = recv_frame(conn)
-                return int(stats.get("replayed", 0))
-            except (OSError, FrameClosed, UnsafeFrame, ValueError):
-                time.sleep(0.02)
-        return 0
+        # the listener was bound before the fork, so this one request
+        # queues until the daemon has replayed its log and accepts
+        reply = _request(addr, ("stats",), timeout=HANDOFF_TIMEOUT)
+        replayed = int(reply[2]["replayed"]) if reply is not None else 0
+        self._c_replayed.inc(replayed)
+        return replayed
 
     def reap_dead(self) -> list[int]:
         """Member shards whose process died *without* :meth:`kill`.
@@ -494,127 +433,77 @@ class DirectoryDaemonHost:
                     continue
                 self._dead.add(node_id)
                 newly.append(node_id)
-        for _ in newly:
-            self._g_live.dec()
+        self._g_live.dec(len(newly))
         return newly
 
     # -- write path (the registry is the single writer) --------------------
     def publish(self, rank: int, status: str, addr: tuple | None,
                 init_addr: tuple | None) -> None:
-        """Version-stamp and enqueue a record for its owners.
+        """Version-stamp *rank*'s record and enqueue it for its owners.
 
-        Never blocks: socket work happens on the publisher thread, which
-        retransmits until each owner acks — exactly the simulator
-        publisher's contract, against real sockets.
+        Never blocks on a socket: the publisher thread sends and
+        retransmits until each owner acks.
         """
-        with self._lock:
-            version = self._versions.get(rank, 0) + 1
-            self._versions[rank] = version
-            rec = (status, tuple(addr) if addr else None,
-                   tuple(init_addr) if init_addr else None, version)
-            self._records[rank] = rec
-            owners = self.topology.owners(rank)
         with self._cond:
-            for node in owners:
-                self._pending[(rank, node)] = self._make_update(rank, rec,
-                                                                node)
-                self._c_publishes.inc()
-            self._cond.notify()
-
-    @staticmethod
-    def _make_update(rank: int, rec: tuple, node: int) -> DirUpdate:
-        status, addr, init_addr, version = rec
-        return DirUpdate(rank=rank, status=status, vmid=addr,
-                         init_vmid=init_addr, version=version,
-                         reply_to=None, node=node)
+            cur = self._records.get(rank)
+            rec = LocationRecord(
+                rank, status, tuple(addr) if addr else None,
+                tuple(init_addr) if init_addr else None,
+                (cur.version if cur is not None else 0) + 1)
+            self._records[rank] = rec
+            sent = self.publisher.publish(rec, self.topology.owners(rank))
+            self._c_publishes.inc(len(sent))
+            self._cond.notify_all()
 
     def _publish_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait(timeout=4 * PUBLISH_TICK)
+                self._cond.wait_for(
+                    lambda: self._closed or self.publisher.pending)
                 if self._closed:
                     return
-                items = list(self._pending.items())
+                due = self.publisher.due()
             retained = False
-            for key, upd in items:
-                if self._rpc_update(upd):
-                    self._c_acks.inc()
-                    with self._cond:
-                        cur = self._pending.get(key)
-                        if cur is not None and cur.version <= upd.version:
-                            del self._pending[key]
-                else:
+            for upd in due:
+                ack = self._send_update(upd, self._pub_conns)
+                if ack is None:
                     self._c_retx.inc()
                     retained = True
+                    continue
+                self._c_acks.inc()
+                with self._cond:
+                    self.publisher.on_ack(ack)
+                    self._cond.notify_all()
             if retained:
+                # retransmit tick: an unreachable owner is retried every
+                # PUBLISH_TICK until it acks, restarts or leaves the ring
                 time.sleep(PUBLISH_TICK)
 
-    def _rpc_update(self, upd: DirUpdate,
-                    conns: dict | None = None) -> bool:
-        """Send one update to its node; True once the ack covers it.
-
-        *conns* is the connection cache to use. The default,
-        ``_pub_conns``, belongs to the publisher thread alone — handoff
-        pushes run on the churn caller's thread and must pass their own
-        cache, or two threads interleave frames on one socket and read
-        each other's acks.
-        """
-        if conns is None:
-            conns = self._pub_conns
-        node = upd.node
+    def _send_update(self, upd: DirUpdate,
+                     conns: dict) -> DirUpdateAck | None:
+        """Send one update to its node; the node's ack, or ``None``.
+        *conns* is the calling thread's own connection cache: two threads
+        on one socket would read each other's acks."""
         with self._lock:
-            addr = self.addrs.get(node)
+            addr = self.addrs.get(upd.node)
         if addr is None:
-            return False
-        conn = conns.get(node)
-        for attempt in range(2):
-            try:
-                if conn is None:
-                    conn = socket.create_connection(
-                        tuple(addr), timeout=CONNECT_TIMEOUT)
-                    conn.settimeout(ACK_TIMEOUT)
-                send_frame(conn, upd)
-                ack = recv_frame(conn)
-                if isinstance(ack, DirUpdateAck) and ack.rank == upd.rank \
-                        and ack.version >= upd.version:
-                    conns[node] = conn
-                    return True
-                return False
-            except (OSError, FrameClosed, UnsafeFrame, ValueError):
-                if conn is not None:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                conns.pop(node, None)
-                conn = None
-                # a cached connection may be stale (daemon restarted):
-                # one fresh attempt before reporting failure
-        return False
+            return None
+        return _exchange(conns, upd.node, addr, upd, ACK_TIMEOUT,
+                         lambda r: isinstance(r, DirUpdateAck)
+                         and r.rank == upd.rank)
 
     def flush(self, timeout: float = 5.0) -> bool:
         """Wait until every published update has been acked."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            with self._cond:
-                if not self._pending:
-                    return True
-            time.sleep(0.01)
-        return False
+        with self._cond:
+            return self._cond.wait_for(lambda: not self.publisher.pending,
+                                       timeout)
 
     # -- membership churn --------------------------------------------------
-    def _push_and_verify(self, moves, records) -> list[HandoffRecord]:
-        """Push each moved record to its gaining owners, read each back.
-
-        Record-by-record: the push is a synchronous versioned update, the
-        verification an independent ``records`` read from the gaining
-        daemon confirming it now holds at least that version. Transient
-        slowness (a busy box, a backed-up accept queue) is retried until
-        ``HANDOFF_TIMEOUT``; only a daemon that stays unreachable leaves
-        ``verified=False``. The handoff-backlog gauge counts down as
-        records land.
-        """
+    def _push_and_verify(self, moves) -> list[HandoffRecord]:
+        """Push each moved record to its gaining owners and read it back
+        (an independent ``records`` request), retrying until
+        ``HANDOFF_TIMEOUT``: only a daemon that stays unreachable leaves
+        ``verified=False``."""
         handoff: list[HandoffRecord] = []
         # this thread's own sockets — never the publisher thread's cache
         conns: dict[int, socket.socket] = {}
@@ -626,85 +515,65 @@ class DirectoryDaemonHost:
                 for node in gained:
                     deadline = time.time() + HANDOFF_TIMEOUT
                     while True:
-                        ok = self._rpc_update(
-                            self._make_update(rank, rec, node), conns)
-                        verified = (ok and
-                                    self._read_version(node, rank) >= rec[3])
+                        verified = (
+                            self._send_update(update_for(rec, node), conns)
+                            is not None
+                            and self._read_version(node, rank) >= rec.version)
                         if verified or time.time() >= deadline:
                             break
+                        # a slow gaining daemon is retried every
+                        # PUBLISH_TICK, up to HANDOFF_TIMEOUT per record
                         time.sleep(PUBLISH_TICK)
                     handoff.append(HandoffRecord(rank=rank, node=node,
-                                                 version=rec[3],
+                                                 version=rec.version,
                                                  verified=verified))
                     self._c_handoff.inc()
                 self._g_backlog.dec()
         finally:
             for conn in conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                _close(conn)
         return handoff
 
     def _read_version(self, node: int, rank: int) -> int:
-        with self._lock:
-            addr = self.addrs.get(node)
-        if addr is None:
-            return -1
         try:
-            with socket.create_connection(tuple(addr),
-                                          timeout=CONNECT_TIMEOUT) as conn:
-                conn.settimeout(REPLY_TIMEOUT)
-                send_frame(conn, ("records", [rank]))
-                kind, recs = recv_frame(conn)
-            if kind == "records" and rank in recs:
-                return recs[rank][3]
-        except (OSError, FrameClosed, UnsafeFrame, ValueError):
-            pass
-        return -1
+            return self.records_on(node, [rank])[rank][3]
+        except (KeyError, OSError):
+            return -1
+
+    def _change(self, kind: str, node_id: int, node_ids: list[int],
+                after: HashRing, moves) -> MembershipChange:
+        """Push and verify *moves*, then adopt the new ring and re-enqueue
+        the moved records under it: a publish racing the handoff went to
+        the *old* owners, and version checks make the overlap idempotent."""
+        handoff = self._push_and_verify(moves)
+        with self._cond:
+            self.node_ids = node_ids
+            self.topology = after
+            self.epoch += 1
+            self.publisher.reassign(moves, self._records)
+            self._cond.notify_all()
+            epoch = self.epoch
+        log.debug("shard %d %s (epoch %d, %d records moved)",
+                  node_id, kind, epoch, len(moves))
+        return MembershipChange(kind, node_id, epoch,
+                                moved=tuple(r for r, _o, _g in moves),
+                                handoff=tuple(handoff))
 
     def join(self) -> MembershipChange:
-        """Add one shard: spawn, hand over its arcs, then flip the ring.
-
-        The new daemon is live (and empty) before any record moves; the
-        topology — what lookups and publishes route by — flips only
-        after every moved record is pushed. Publishes racing the handoff
-        are caught by a final re-enqueue of the moved records under the
-        new ring (version checks make the overlap idempotent).
-        """
+        """Add one shard: spawn it, hand over its arcs, then flip the
+        ring (what lookups and publishes route by)."""
         with self._lock:
             new_id = self._next_id
             self._next_id += 1
-            before = self.topology
-            after = HashRing(self.node_ids + [new_id],
-                             replication=self.spec.replication)
-            moves = plan_handoff(before, after, list(self._records))
+            node_ids = self.node_ids + [new_id]
+            after = HashRing(node_ids, replication=self.spec.replication)
+            moves = plan_handoff(self.topology, after, list(self._records))
             listener = self._bind()
             self.addrs[new_id] = listener.getsockname()
             self._fork(new_id, {new_id: listener})
         listener.close()
         self._g_live.inc()
-        handoff = self._push_and_verify(moves, self._records)
-        with self._lock:
-            self.node_ids.append(new_id)
-            self.topology = after
-            self.epoch += 1
-            epoch = self.epoch
-        # close the race window: anything published during the handoff
-        # went to the *old* owners; re-enqueue the moved records so the
-        # gaining owners converge to the newest version
-        with self._cond:
-            for rank, _old, gained in moves:
-                rec = self._records[rank]
-                for node in gained:
-                    self._pending[(rank, node)] = self._make_update(
-                        rank, rec, node)
-            self._cond.notify()
-        log.debug("shard %d joined (epoch %d, %d records moved)",
-                  new_id, epoch, len(moves))
-        return MembershipChange("join", new_id, epoch,
-                                moved=tuple(r for r, _o, _g in moves),
-                                handoff=tuple(handoff))
+        return self._change("join", new_id, node_ids, after, moves)
 
     def leave(self, node_id: int) -> MembershipChange:
         """Remove one shard: hand its records over, flip, shut it down."""
@@ -713,56 +582,23 @@ class DirectoryDaemonHost:
                 raise ProtocolError(f"shard {node_id} is not a member")
             if len(self.node_ids) <= 1:
                 raise ProtocolError("cannot remove the last shard")
-            before = self.topology
             remaining = [i for i in self.node_ids if i != node_id]
-            after = HashRing(remaining,
-                             replication=self.spec.replication)
-            moves = plan_handoff(before, after, list(self._records))
-        handoff = self._push_and_verify(moves, self._records)
-        with self._lock:
-            self.node_ids = remaining
-            self.topology = after
-            self.epoch += 1
-            epoch = self.epoch
+            after = HashRing(remaining, replication=self.spec.replication)
+            moves = plan_handoff(self.topology, after, list(self._records))
+        change = self._change("leave", node_id, remaining, after, moves)
+        with self._cond:
+            self.publisher.forget(node_id)
             was_dead = node_id in self._dead
             self._dead.discard(node_id)
             p = self._procs.pop(node_id, None)
             addr = self.addrs.pop(node_id, None)
-        with self._cond:
-            for key in [k for k in self._pending if k[1] == node_id]:
-                del self._pending[key]
-            # racing publishes may have targeted old owners; re-enqueue
-            # the moved records under the new ring
-            for rank, _old, gained in moves:
-                rec = self._records[rank]
-                for node in gained:
-                    self._pending[(rank, node)] = self._make_update(
-                        rank, rec, node)
-            self._cond.notify()
-        conn = self._pub_conns.pop(node_id, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
         if p is not None and not was_dead:
-            try:
-                with socket.create_connection(
-                        tuple(addr), timeout=CONNECT_TIMEOUT) as c:
-                    c.settimeout(REPLY_TIMEOUT)
-                    send_frame(c, ("shutdown",))
-                    recv_frame(c)
-            except (OSError, FrameClosed, UnsafeFrame, ValueError):
-                pass
+            _request(addr, ("shutdown",))
             p.join(timeout=2.0)
             if p.is_alive():
                 p.terminate()
             self._g_live.dec()
-        log.debug("shard %d left (epoch %d, %d records moved)",
-                  node_id, epoch, len(moves))
-        return MembershipChange("leave", node_id, epoch,
-                                moved=tuple(r for r, _o, _g in moves),
-                                handoff=tuple(handoff))
+        return change
 
     # -- read-side helpers -------------------------------------------------
     def membership(self) -> dict:
@@ -778,51 +614,36 @@ class DirectoryDaemonHost:
         return DaemonClientConfig(**self.membership())
 
     def make_client(self, salt: int = 0,
-                    fallback: Callable | None = None,
-                    **kwargs: Any) -> "MPDirectoryClient":
+                    fallback: Callable | None = None) -> "MPDirectoryClient":
         return MPDirectoryClient(self.client_config(), salt=salt,
-                                 fallback=fallback, **kwargs)
+                                 fallback=fallback)
 
     def poll_stats(self) -> dict[int, dict | None]:
         """Per-shard protocol counters (``None`` for unreachable shards)."""
-        out: dict[int, dict | None] = {}
         with self._lock:
-            targets = [(i, self.addrs[i]) for i in self.node_ids]
-        for node_id, addr in targets:
-            try:
-                with socket.create_connection(
-                        tuple(addr), timeout=CONNECT_TIMEOUT) as conn:
-                    conn.settimeout(REPLY_TIMEOUT)
-                    send_frame(conn, ("stats",))
-                    _kind, _nid, stats = recv_frame(conn)
-                out[node_id] = stats
-            except (OSError, FrameClosed, UnsafeFrame, ValueError):
-                out[node_id] = None
-        return out
+            targets = {i: self.addrs[i] for i in self.node_ids}
+        replies = {i: _request(a, ("stats",)) for i, a in targets.items()}
+        return {i: r and r[2] for i, r in replies.items()}
 
     def records_on(self, node_id: int,
                    ranks: list | None = None) -> dict:
-        """A shard's raw records (handoff verification, tests)."""
+        """A shard's raw records, ``rank -> (status, addr, init_addr,
+        version)`` (handoff verification, tests)."""
         with self._lock:
             addr = self.addrs[node_id]
-        with socket.create_connection(tuple(addr),
-                                      timeout=CONNECT_TIMEOUT) as conn:
-            conn.settimeout(REPLY_TIMEOUT)
-            send_frame(conn, ("records", ranks))
-            _kind, recs = recv_frame(conn)
-        return recs
+        reply = _request(addr, ("records", ranks))
+        if reply is None:
+            raise ConnectionError(f"shard {node_id} did not answer")
+        return reply[1]
 
     def close(self) -> None:
         with self._cond:
             self._closed = True
-            self._cond.notify()
+            self._cond.notify_all()
         # the publisher thread owns _pub_conns; wait it out before closing
         self._pub_thread.join(timeout=2.0)
         for conn in list(self._pub_conns.values()):
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close(conn)
         self._pub_conns.clear()
         with self._lock:
             procs = list(self._procs.values())
@@ -840,38 +661,18 @@ class DirectoryDaemonHost:
 class MPDirectoryClient:
     """Consult the shard daemons; fall back to the scheduler.
 
-    The ladder, in order — the same one the sim client runs under the
-    fault adversary, driven here by real socket errors:
-
-    1. **replica walk** — the full owner list each round (start rotated
-       by ``salt`` + round, so clients spread over replicas and a dead
-       one cannot eat the whole budget);
-    2. **unknown backoff** — a node that answers ``unknown`` (update in
-       flight, or restarted empty) is backed off and the round retried;
-    3. **scheduler fallback** — ``fallback(rank)`` answers
-       authoritatively once the rounds are spent; afterwards ``refresh``
-       (if given) pulls a newer membership view, so a client stranded on
-       a stale ring converges back to shard lookups.
-
-    Connection-refused is immediate on loopback; a half-open or deaf
-    shard costs at most ``connect_timeout + reply_timeout`` before the
-    walk moves on, which bounds the whole lookup.
+    After a fallback, ``refresh`` (if given) pulls a newer membership
+    view, so a client stranded on a stale ring converges back to shard
+    lookups. A half-open or deaf shard costs at most ``CONNECT_TIMEOUT +
+    REPLY_TIMEOUT`` before the walk moves on.
     """
 
     def __init__(self, config: DaemonClientConfig, salt: int = 0,
-                 rounds: int = UNKNOWN_ROUNDS,
-                 backoff: float = UNKNOWN_BACKOFF,
-                 connect_timeout: float = CONNECT_TIMEOUT,
-                 reply_timeout: float = REPLY_TIMEOUT,
                  fallback: Callable[[int], tuple] | None = None,
                  refresh: Callable[[], DaemonClientConfig | None]
                  | None = None,
                  on_count: Callable[[str, int], None] | None = None):
         self.salt = salt
-        self.rounds = rounds
-        self.backoff = backoff
-        self.connect_timeout = connect_timeout
-        self.reply_timeout = reply_timeout
         self.fallback = fallback
         self.refresh = refresh
         self.on_count = on_count
@@ -898,40 +699,36 @@ class MPDirectoryClient:
                                  replication=config.replication)
         return True
 
-    def candidates(self, rank: int, round_no: int) -> list[int]:
-        owners = self.topology.owners(rank)
-        k = (self.salt + round_no) % len(owners)
-        return owners[k:] + owners[:k]
-
     # -- the lookup --------------------------------------------------------
     def lookup(self, rank: int) -> tuple[str, tuple | None]:
         """Resolve *rank*: ``(status, addr)``, scheduler as last resort."""
-        for round_no in range(self.rounds):
-            unknown = False
-            for node in self.candidates(rank, round_no):
-                reply = self._ask(node, rank)
-                if reply is None:
-                    self._count("dir_failovers")
-                    continue
-                if reply.status != "unknown":
-                    addr = (tuple(reply.vmid)
-                            if reply.vmid is not None else None)
-                    return reply.status, addr
+        def ask(step) -> tuple:
+            reply = self._ask(step.node, rank)
+            if reply is None:
+                self._count("dir_failovers")
+            elif reply.status == "unknown":
                 self._count("dir_unknown")
-                unknown = True
-            if unknown or round_no < self.rounds - 1:
-                time.sleep(self.backoff * (2 ** round_no))
-        self._count("dir_fallbacks")
-        if self.fallback is None:
-            raise ProtocolError(
-                f"directory lookup for rank {rank} exhausted its ladder "
-                f"and no scheduler fallback is configured")
-        status, addr = self.fallback(rank)
-        if self.refresh is not None:
-            try:
-                self.update_membership(self.refresh())
-            except (OSError, FrameClosed):
-                pass
+            return reply, None
+
+        # the ladder's round backoff: UNKNOWN_BACKOFF * 2**round, once
+        # per round, UNKNOWN_ROUNDS rounds per lookup
+        outcome = LookupLadder(self.topology.owners(rank), self.salt,
+                               UNKNOWN_ROUNDS, UNKNOWN_BACKOFF).run(
+            ask, lambda step: time.sleep(step.seconds))
+        if isinstance(outcome, Done):
+            status, addr = outcome.status, outcome.vmid
+        else:
+            self._count("dir_fallbacks")
+            if self.fallback is None:
+                raise ProtocolError(
+                    f"directory lookup for rank {rank} exhausted its "
+                    f"ladder and no scheduler fallback is configured")
+            status, addr = self.fallback(rank)
+            if self.refresh is not None:
+                try:
+                    self.update_membership(self.refresh())
+                except (OSError, FrameClosed):
+                    pass
         return status, (tuple(addr) if addr is not None else None)
 
     def _ask(self, node: int, rank: int) -> LookupReply | None:
@@ -941,36 +738,13 @@ class MPDirectoryClient:
             return None
         token = next(self._tokens)
         self._count("dir_lookups")
-        conn = self._conns.pop(node, None)
-        attempts = 2 if conn is not None else 1
-        for _ in range(attempts):
-            try:
-                if conn is None:
-                    conn = socket.create_connection(
-                        addr, timeout=self.connect_timeout)
-                    conn.settimeout(self.reply_timeout)
-                send_frame(conn, DirLookup(rank=rank, reply_to=None,
-                                           token=token))
-                reply = recv_frame(conn)
-                if isinstance(reply, LookupReply) and reply.token == token:
-                    self._conns[node] = conn
-                    return reply
-                raise ValueError(f"bad shard reply {reply!r}")
-            except (OSError, FrameClosed, UnsafeFrame, ValueError):
-                if conn is not None:
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                conn = None
-                # a cached connection may be stale (shard restarted
-                # behind it): retry once on a fresh connect
-        return None
+        return _exchange(self._conns, node, addr,
+                         DirLookup(rank=rank, reply_to=None, token=token),
+                         REPLY_TIMEOUT,
+                         lambda r: isinstance(r, LookupReply)
+                         and r.token == token)
 
     def close(self) -> None:
         for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
+            _close(conn)
         self._conns.clear()

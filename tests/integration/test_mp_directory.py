@@ -32,8 +32,10 @@ import pytest
 
 from repro.core.messages import LookupReply
 from repro.directory.hashring import HashRing
-from repro.directory.messages import DirLookup, DirUpdateAck
+from repro.directory.messages import DirLookup, DirUpdate, DirUpdateAck
+from repro.directory.shard import ShardNode
 from repro.directory.spec import DirectorySpec
+from repro.runtime import mp_directory
 from repro.runtime.framing import FrameClosed, recv_frame, send_frame
 from repro.runtime.mp_directory import (
     DaemonClientConfig,
@@ -177,9 +179,11 @@ def test_replica_walk_skips_refused_shard():
         healthy.close()
 
 
-def test_half_open_peer_costs_one_reply_timeout():
+def test_half_open_peer_costs_one_reply_timeout(monkeypatch):
     """Primary accepts and reads but never replies: the walk moves on
     after the reply timeout, bounded — not hanging forever."""
+    monkeypatch.setattr(mp_directory, "REPLY_TIMEOUT", 0.3)
+    monkeypatch.setattr(mp_directory, "CONNECT_TIMEOUT", 0.3)
     owners = owners_of(RANK)
     deaf = ScriptedShard(behavior="deaf")
     healthy = ScriptedShard(records={RANK: ("10.0.0.2", 5001)})
@@ -187,7 +191,6 @@ def test_half_open_peer_costs_one_reply_timeout():
     addrs[owners[0]] = deaf.addr
     addrs[owners[1]] = healthy.addr
     client = MPDirectoryClient(sharded_config(addrs), salt=0,
-                               reply_timeout=0.3, connect_timeout=0.3,
                                fallback=lambda r: ("running", ("fb", r)))
     try:
         t0 = time.time()
@@ -204,9 +207,11 @@ def test_half_open_peer_costs_one_reply_timeout():
         healthy.close()
 
 
-def test_slow_accept_times_out_and_fails_over():
+def test_slow_accept_times_out_and_fails_over(monkeypatch):
     """Primary's backlog is saturated (accept queue full): the connect
     itself times out and the walk continues to the replica."""
+    monkeypatch.setattr(mp_directory, "REPLY_TIMEOUT", 0.3)
+    monkeypatch.setattr(mp_directory, "CONNECT_TIMEOUT", 0.3)
     owners = owners_of(RANK)
     lst, fillers = saturated_listener()
     healthy = ScriptedShard(records={RANK: ("10.0.0.3", 5002)})
@@ -214,7 +219,6 @@ def test_slow_accept_times_out_and_fails_over():
     addrs[owners[0]] = lst.getsockname()
     addrs[owners[1]] = healthy.addr
     client = MPDirectoryClient(sharded_config(addrs), salt=0,
-                               connect_timeout=0.3, reply_timeout=0.3,
                                fallback=lambda r: ("running", ("fb", r)))
     try:
         t0 = time.time()
@@ -254,13 +258,14 @@ def test_every_shard_dead_falls_back_to_scheduler():
         client.close()
 
 
-def test_unknown_answers_back_off_then_fall_back():
+def test_unknown_answers_back_off_then_fall_back(monkeypatch):
     """Live shards that answer ``unknown`` (restarted empty, update in
     flight) trigger the backoff rounds, then the scheduler."""
+    monkeypatch.setattr(mp_directory, "UNKNOWN_ROUNDS", 2)
+    monkeypatch.setattr(mp_directory, "UNKNOWN_BACKOFF", 0.01)
     empty = [ScriptedShard(records={}) for _ in range(3)]
     addrs = {n: empty[n].addr for n in (0, 1, 2)}
     client = MPDirectoryClient(sharded_config(addrs), salt=0,
-                               rounds=2, backoff=0.01,
                                fallback=lambda r: ("running", ("fb", r)))
     try:
         status, addr = client.lookup(RANK)
@@ -333,6 +338,92 @@ def test_restarted_daemon_serves_after_reseed():
         client.close()
     finally:
         host.close()
+
+
+def test_restart_reseed_keeps_a_publish_that_races_it(monkeypatch):
+    """A publish that lands while ``restart`` rebinds the dead shard's
+    port is the record the restarted shard ends up holding: the re-seed
+    must not replace it with the older version it would have
+    snapshotted before the rebind."""
+    # a long retransmit tick holds the racing update back until the
+    # restart has forked the daemon and re-seeded it
+    monkeypatch.setattr(mp_directory, "PUBLISH_TICK", 1.0)
+    spec = DirectorySpec(backend="sharded", nodes=3, replication=1)
+    host = DirectoryDaemonHost(spec)
+    try:
+        host.publish(RANK, "running", ("127.0.0.1", 9600), None)
+        assert host.flush(5.0)
+        victim = host.topology.primary(RANK)
+        host.kill(victim)
+        retransmits = host.metrics.counter("dir.publish_retransmits")
+        real_bind = host._bind
+
+        def racing_bind(addr):
+            before = retransmits.value
+            host.publish(RANK, "running", ("127.0.0.1", 9601), None)
+            # wait for the publisher to fail it on the closed port; it
+            # then sleeps out the tick across the rest of the restart
+            deadline = time.time() + 5.0
+            while retransmits.value == before and time.time() < deadline:
+                time.sleep(0.005)
+            return real_bind(addr)
+
+        monkeypatch.setattr(host, "_bind", racing_bind)
+        host.restart(victim)
+        assert host.flush(10.0)
+        assert host.records_on(victim, [RANK])[RANK] == (
+            "running", ("127.0.0.1", 9601), None, 2)
+    finally:
+        host.close()
+
+
+def test_sim_node_and_shard_daemon_answer_alike():
+    """One scripted update/lookup sequence, sent to the simulator's
+    ``ShardNode`` and to a forked ``shard_daemon_main``: identical acks
+    and replies, in the one reply vocabulary."""
+    a, b = ("127.0.0.1", 9700), ("127.0.0.1", 9701)
+
+    def upd(rank, status, vmid, init, version):
+        return DirUpdate(rank=rank, status=status, vmid=vmid,
+                         init_vmid=init, version=version, node=0)
+
+    def ask(rank, token):
+        return DirLookup(rank=rank, reply_to=None, token=token)
+
+    script = [
+        upd(1, "running", a, None, 1), ask(1, 1), ask(2, 2),
+        upd(1, "running", a, b, 2), upd(1, "migrating", a, b, 3),
+        ask(1, 3),
+        upd(1, "running", a, None, 1),        # stale: ignored, acked v3
+        upd(1, "migrating", a, b, 3),         # duplicate
+        ask(1, 4),
+        upd(1, "running", b, None, 4), ask(1, 5),
+        upd(3, "terminated", a, None, 1), ask(3, 6),
+        upd(4, "starting", None, None, 1), ask(4, 7),
+    ]
+    node = ShardNode()
+    sim = [node.apply(m)[0] if isinstance(m, DirUpdate)
+           else node.reply(m.rank, m.token) for m in script]
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    addr = listener.getsockname()
+    proc = mp.get_context("fork").Process(
+        target=shard_daemon_main, args=(0, {0: listener}), daemon=True)
+    proc.start()
+    listener.close()
+    try:
+        with socket.create_connection(addr, timeout=5.0) as conn:
+            real = []
+            for m in script:
+                send_frame(conn, m)
+                real.append(recv_frame(conn))
+    finally:
+        proc.terminate()
+        proc.join(timeout=5.0)
+    assert real == sim
+    assert [r.status for r in real if isinstance(r, LookupReply)] == [
+        "running", "unknown", "migrate", "migrate", "running",
+        "terminated", "starting"]
 
 
 # -- the daemon's own input boundary ---------------------------------------

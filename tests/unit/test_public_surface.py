@@ -17,8 +17,13 @@ import pytest
 from repro import Application
 from repro.codec import decode, decode_owned, encode
 from repro.core.endpoint import MigrationEndpoint
-from repro.directory import DirectorySpec
-from repro.runtime import DaemonClientConfig, MPCluster
+from repro.directory import DirectoryClient, DirectoryPublisher, DirectorySpec
+from repro.runtime import (
+    DaemonClientConfig,
+    DirectoryDaemonHost,
+    MPCluster,
+    MPDirectoryClient,
+)
 
 EXPECTED = {
     encode: {"obj", "arch"},
@@ -39,6 +44,12 @@ EXPECTED = {
     # dataclasses: the constructor's parameters are the fields
     DirectorySpec: {"backend", "nodes", "replication"},
     DaemonClientConfig: {"epoch", "node_ids", "addrs", "replication"},
+    # the directory drivers: rounds, backoffs, ticks and timeouts are
+    # each driver's module constants, never arguments
+    DirectoryClient: {"topology", "peers", "salt"},
+    DirectoryPublisher: {"topology", "peers"},
+    MPDirectoryClient: {"config", "salt", "fallback", "refresh", "on_count"},
+    DirectoryDaemonHost: {"spec", "metrics", "wal_dir"},
 }
 
 
