@@ -12,12 +12,8 @@ fast:   ## the suite minus the seeded fault-injection stress runs
 stress: ## fault-adversarial runs checked against the paper's theorems
 	python -m pytest tests/stress -q
 
-loc:    ## source size, the figure CHANGES.md reports reductions in (ROADMAP aim 2)
-	@echo "lines:   $$(find src -name '*.py' | xargs cat | wc -l)"
-	@echo "modules: $$(find src -name '*.py' | wc -l)"
-	@echo "runtime/mp.py:           $$(wc -l < src/repro/runtime/mp.py)"
-	@echo "runtime/mp_directory.py: $$(wc -l < src/repro/runtime/mp_directory.py)"
-	@echo "core/endpoint.py + core/migration.py: $$(cat src/repro/core/endpoint.py src/repro/core/migration.py | wc -l)"
+loc:    ## source lines, code-only lines (tokenize: no comments, docstrings or blanks) and modules, the figures CHANGES.md reports (ROADMAP aim 2)
+	@python3 tools/loc.py
 
 bench:  ## regenerate the paper's tables/figures (print with -s)
 	python -m pytest benchmarks/ --benchmark-only -q

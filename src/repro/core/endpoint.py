@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.codec import NATIVE, Architecture
+from repro.core.drain import Drain
 from repro.core.messages import (
     ANY,
     ChannelHello,
@@ -238,10 +239,9 @@ class MigrationEndpoint:
                                                actor=ctx.name)
 
         self.migration_requested = False
-        #: set by migration code while draining; ChannelHello arrivals
-        #: during the drain join this set (late-connecting peers)
-        self._drain_waiting: set[Rank] | None = None
-        self._drain_coordinate: Callable[[Rank, Channel], None] | None = None
+        #: Fig. 5's drain (repro.core.drain): what this process granted,
+        #: whether it is frozen, and the coordinated peers it waits for
+        self.drain = Drain()
 
         self._req_ids = itertools.count(1)
         self._tokens = itertools.count(1)
@@ -251,10 +251,6 @@ class MigrationEndpoint:
         #: conn_reqs an initializing endpoint is holding until restore
         #: completes (only with a drain timeout — see _handle_conn_req)
         self._init_deferred: list[ControlEnvelope] = []
-        #: grants we have acked whose ChannelHello has not yet arrived;
-        #: the migration drain must wait these out or their first data
-        #: message could arrive after this process terminated
-        self._pending_grants: dict[Rank, int] = {}
         #: every ack ever sent, keyed (requester vmid, req_id): a
         #: retransmitted conn_req is answered with the *same* ack instead
         #: of granting a second channel (idempotent dispatch)
@@ -611,11 +607,10 @@ class MigrationEndpoint:
         if ack is not None:
             # Retransmit of a request we already granted (our ack was lost
             # or is still in flight): re-send the *same* ack — no second
-            # grant, no stats, no new pending-grant obligation. Checked
-            # before the MIGRATING rejection on purpose: the original
-            # grant is still counted in _pending_grants, so nacking the
-            # retransmit would leave the drain waiting for a hello the
-            # requester will never send.
+            # grant, no stats, no new open grant. Checked before the
+            # frozen rejection on purpose: the original grant is still
+            # open in the drain, so nacking the retransmit would leave
+            # the drain waiting for a hello the requester will never send.
             self.vm.trace_record(self.ctx.name, "conn_req_dup",
                                  src=msg.src_rank, req_id=msg.req_id)
             self.ctx.route_control(env.src_vmid, ack)
@@ -631,7 +626,7 @@ class MigrationEndpoint:
                 self.vm.trace_record(self.ctx.name, "conn_req_deferred",
                                      src=msg.src_rank, req_id=msg.req_id)
             return
-        if self.state == MIGRATING:
+        if self.drain.frozen:
             # Fig. 5 line 4: requests that already reached the migrating
             # process are rejected; the requester will consult the
             # scheduler and redirect to the initialized process.
@@ -658,7 +653,7 @@ class MigrationEndpoint:
             # Mutual simultaneous request: the lower rank waits for its own
             # request to be acked; the peer's request is answered after.
             # A retransmitted copy must not be queued twice — the double
-            # grant would strand a pending-grant count the drain waits on.
+            # grant would strand an open grant the drain waits on.
             if not self._already_deferred(env):
                 self._deferred_reqs.append(env)
             return
@@ -668,8 +663,7 @@ class MigrationEndpoint:
         """The paper's ``grant_connection_to``: accept a request."""
         msg: ConnReq = env.msg
         self.stats.conn_reqs_granted += 1
-        self._pending_grants[msg.src_rank] = \
-            self._pending_grants.get(msg.src_rank, 0) + 1
+        self.drain.grant(msg.src_rank)
         ack = ConnAck(msg.req_id, acceptor_rank=self.rank,
                       acceptor_vmid=self.ctx.vmid)
         self._acked_reqs[(env.src_vmid, msg.req_id)] = ack
@@ -712,10 +706,6 @@ class MigrationEndpoint:
         self.ctx.burn(seconds)
         asm.restore_seconds += self.kernel.now - t0
 
-    def pending_grant_count(self) -> int:
-        """Grants acked but whose channel is not yet established."""
-        return sum(self._pending_grants.values())
-
     def _register_channel(self, env: Envelope, hello: ChannelHello) -> None:
         chan = self.vm.channels.get(env.channel_id)
         if chan is None:
@@ -725,20 +715,25 @@ class MigrationEndpoint:
                 f"duplicate channel to rank {hello.src_rank}")
         self.connected[hello.src_rank] = chan
         self.pl.update(hello.src_rank, env.src_vmid)
-        # A hello from this rank retires *every* grant held for it: the
-        # requester establishes exactly one channel per connect() and any
-        # other req_ids it sent (retransmits, abandoned attempts) will
-        # never produce a hello of their own.
-        self._pending_grants.pop(hello.src_rank, None)
         self.vm.trace_record(self.ctx.name, "connected",
                              dest=hello.src_rank, channel=chan.id,
                              initiator=False)
-        if self._drain_waiting is not None and self._drain_coordinate:
+        if self.drain.retire(hello.src_rank):
             # A peer completed establishment just as we started migrating:
             # coordinate it like every other connected peer.
-            self._drain_coordinate(hello.src_rank, chan)
+            self.coordinate(hello.src_rank, chan)
 
-    # -- migration coordination on the peer side ----------------------------
+    # -- migration coordination ---------------------------------------------
+    def coordinate(self, rank: Rank, chan: Channel) -> None:
+        """Fig. 5 line 5 on one channel: the disconnection signal, then
+        ``peer_migrating`` as our last message; the drain waits for the
+        peer's last message."""
+        self.ctx.send_signal(chan.peer_of(self.ctx.vmid), SIG_DISCONNECT)
+        chan.send(self.ctx, PeerMigrating(self.rank), CONTROL_PAYLOAD_BYTES)
+        chan.close_end(self.ctx.vmid)
+        self.drain.coordinate(rank)
+        self.vm.trace_record(self.ctx.name, "peer_coordinated", peer=rank)
+
     def _handle_peer_migrating(self, env: Envelope, pm: PeerMigrating) -> None:
         """Fig. 4 lines 12-14 (and the drain's simultaneous-migration case)."""
         rank = pm.src_rank
@@ -747,11 +742,11 @@ class MigrationEndpoint:
             self.vm.trace_record(self.ctx.name, "stale_peer_migrating",
                                  src=rank)
             return
-        if self._drain_waiting is not None:
+        if not self.drain.peer_migrating(rank):
             # We are migrating too: their peer_migrating is their last
             # message; ours was already sent. Just close and account.
             chan.close_end(self.ctx.vmid)
-            self._drain_waiting.discard(rank)
+            self.drain.last(rank)
             self.vm.trace_record(self.ctx.name, "simultaneous_coordination",
                                  peer=rank)
             return
@@ -768,10 +763,10 @@ class MigrationEndpoint:
         chan = self.connected.pop(rank, None)
         if chan is not None:
             chan.close_end(self.ctx.vmid)
-        if self._drain_waiting is not None:
+        if self.drain.frozen:
             # Migration drain: this peer's last message has arrived —
             # whether it was coordinated or terminated on its own.
-            self._drain_waiting.discard(rank)
+            self.drain.last(rank)
             self.vm.trace_record(self.ctx.name, "drain_peer_done", peer=rank)
         else:
             # Orderly teardown: the peer terminated and closed the channel

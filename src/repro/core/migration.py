@@ -39,22 +39,19 @@ from repro.core.messages import (
     MigrationCommit,
     MigrationStart,
     NewProcessReply,
-    PeerMigrating,
     PLSnapshot,
     RecvListTransfer,
     RestoreComplete,
     SchedulerAck,
-    SIG_DISCONNECT,
     StateChunk,
 )
 from repro.core.adaptive import AdaptiveChunkPolicy, ChunkController
-from repro.core.sizes import CONTROL_PAYLOAD_BYTES, MESSAGE_HEADER_BYTES
+from repro.core.sizes import MESSAGE_HEADER_BYTES
 from repro.core.streaming import ChunkAssembler, ChunkSource
 from repro.sim.kernel import TIMEOUT
 from repro.sim.trace import KIND_TIMEOUT
 from repro.util.errors import MigrationError
 from repro.vm.channel import Channel
-from repro.vm.ids import Rank
 from repro.vm.messages import ControlEnvelope, Envelope
 
 __all__ = ["run_migration", "run_initialization"]
@@ -112,6 +109,7 @@ def run_migration(ep: MigrationEndpoint, state: dict) -> None:
     vm.trace.record_at(t_start, ctx.name, "span_start", phase="freeze",
                        rank=ep.rank, **_tctx(ep, "freeze"))
     ep.state = MIGRATING
+    ep.drain.freeze()
     vm.trace_record(ctx.name, "span_end", phase="freeze", rank=ep.rank,
                     seconds=kernel.now - t_start, **_tctx(ep, "freeze"))
 
@@ -164,57 +162,37 @@ def run_migration(ep: MigrationEndpoint, state: dict) -> None:
     t_coord0 = kernel.now
     vm.trace_record(ctx.name, "span_start", phase="drain", rank=ep.rank,
                     **_tctx(ep, "drain"))
-    waiting: set[Rank] = set()
-    ep._drain_waiting = waiting
-
-    def coordinate(rank: Rank, chan: Channel) -> None:
-        ctx.send_signal(chan.peer_of(ctx.vmid), SIG_DISCONNECT)
-        chan.send(ctx, PeerMigrating(ep.rank), CONTROL_PAYLOAD_BYTES)
-        chan.close_end(ctx.vmid)
-        waiting.add(rank)
-        vm.trace_record(ctx.name, "peer_coordinated", peer=rank)
-
-    ep._drain_coordinate = coordinate
     for rank, chan in list(ep.connected.items()):
-        coordinate(rank, chan)
+        ep.coordinate(rank, chan)
 
     # Line 6: drain — receive everything still in transit into the
     # received-message-list until each coordinated peer's last message
     # (end_of_message, or peer_migrating if it is migrating too) arrives.
     # Grants whose ChannelHello is still in flight are waited out too: the
-    # hello registers the channel, which coordinate() then handles like any
-    # other connected peer. With a drain timeout, a drain that cannot
+    # hello retires them and the endpoint coordinates the new channel
+    # (repro.core.drain). With a drain timeout, a drain that cannot
     # finish (e.g. a grant abandoned because its ack was lost) aborts the
     # migration instead of waiting forever.
     drain_deadline = (kernel.now + ep.drain_timeout
                       if ep.drain_timeout is not None else None)
-    while waiting or ep.pending_grant_count() > 0:
-        remaining = None
-        if drain_deadline is not None:
-            remaining = drain_deadline - kernel.now
-            if remaining <= 0:
-                _abort_migration(ep, waiting, xfer,
-                                 span_t0={"reject": t_reject0,
-                                          "drain": t_coord0},
-                                 controller=controller)
-                return
-        if not source.exhausted and not len(ctx.mailbox):
-            # Nothing to drain right now: spend the wait collecting and
-            # shipping state instead of idling (the pipelined overlap).
-            # Messages arriving during the chunk's burn are picked up on
-            # the next iteration.
-            send_next_chunk()
-            continue
-        item = ctx.next_message(timeout=remaining)
-        if item is TIMEOUT:
-            _abort_migration(ep, waiting, xfer,
-                             span_t0={"reject": t_reject0,
-                                      "drain": t_coord0},
-                             controller=controller)
-            return
-        ep.dispatch(item)
-    ep._drain_waiting = None
-    ep._drain_coordinate = None
+    while not ep.drain.drained:
+        remaining = (None if drain_deadline is None
+                     else drain_deadline - kernel.now)
+        if remaining is None or remaining > 0:
+            if not source.exhausted and not len(ctx.mailbox):
+                # Nothing to drain right now: spend the wait collecting
+                # and shipping state instead of idling (the pipelined
+                # overlap). Messages arriving during the chunk's burn
+                # are picked up on the next iteration.
+                send_next_chunk()
+                continue
+            item = ctx.next_message(timeout=remaining)
+            if item is not TIMEOUT:
+                ep.dispatch(item)
+                continue
+        _abort_migration(ep, xfer, controller=controller,
+                         span_t0={"reject": t_reject0, "drain": t_coord0})
+        return
     # Line 7: every coordinated channel has been closed by the drain.
     if ep.connected:
         raise MigrationError(
@@ -264,8 +242,7 @@ def run_migration(ep: MigrationEndpoint, state: dict) -> None:
     ctx.terminate()
 
 
-def _abort_migration(ep: MigrationEndpoint, waiting: "set[Rank]",
-                     xfer: Channel,
+def _abort_migration(ep: MigrationEndpoint, xfer: Channel,
                      span_t0: "dict[str, float] | None" = None,
                      controller: ChunkController | None = None) -> None:
     """Drain timeout expired: revert to normal execution (hardened mode).
@@ -304,20 +281,14 @@ def _abort_migration(ep: MigrationEndpoint, waiting: "set[Rank]",
                             aborted=True, **_tctx(ep, phase))
     # A retried migration gets a fresh record (and id) from the scheduler.
     ep.trace_id = None
-    vm.trace_record(ctx.name, KIND_TIMEOUT, what="migration_drain",
-                    waiting=sorted(waiting),
-                    pending_grants=ep.pending_grant_count())
-    ep.stats.timeouts += 1
-    for rank in list(waiting):
-        ep.connected.pop(rank, None)
-    waiting.clear()
     # Grants whose hello never came belong to abandoned requests (the
-    # requester was nacked on a retransmit and redirected); since this
-    # process stays alive at the same vmid, a straggler hello would still
-    # register normally. Nothing to wait for.
-    ep._pending_grants.clear()
-    ep._drain_waiting = None
-    ep._drain_coordinate = None
+    # requester was nacked on a retransmit and redirected); this process
+    # stays alive at the same vmid, so a straggler hello still registers.
+    left = ep.drain.thaw()
+    vm.trace_record(ctx.name, KIND_TIMEOUT, what="migration_drain", **left)
+    ep.stats.timeouts += 1
+    for rank in left["waiting"]:
+        ep.connected.pop(rank, None)
     ep.state = NORMAL
     vm.daemon(ctx.host).allow_conn_reqs(ctx.vmid.pid)
     abort = MigrationAbort(rank=ep.rank, old_vmid=ctx.vmid)

@@ -43,6 +43,7 @@ stream stays exactly-once. See ``docs/recovery.md``.
 
 from __future__ import annotations
 
+import copy
 import logging
 import multiprocessing as mp
 import os
@@ -69,8 +70,8 @@ from repro.core.adaptive import (
     coerce_chunk_bytes,
 )
 from repro.core.checkpointing import CheckpointStore
+from repro.core.drain import Drain
 from repro.core.gang import ADMIT, GangAdmission
-from repro.core.grants import GrantLedger
 from repro.core.streaming import (
     DEFAULT_CHUNK_BYTES,
     ChunkAssembler,
@@ -149,67 +150,61 @@ def _configure_logging() -> None:
 
 
 class _SharedBandwidthBudget:
-    """Cross-process :class:`~repro.core.adaptive.BandwidthBudget`.
-
-    Concurrent migrations are separate forked OS processes, so the
-    fair-share ledger their :class:`ChunkController`\\ s consult must
-    live in ``multiprocessing`` shared memory: slot counts and the
-    pooled RTT floor are ``Value`` cells inherited across fork, guarded
-    by one shared lock. The duck-typed surface (``acquire`` / ``release``
-    / ``share`` / ``observe_latency`` / ``rtt_floor``) matches the
-    in-process ledger exactly, so the controller code is byte-identical
-    in both runtimes.
+    """Cross-process :class:`~repro.core.adaptive.BandwidthBudget` with no
+    lock to die holding: ``multiprocessing`` arrays inherited across
+    fork, one cell per rank, written only by the rank's own process
+    (through :meth:`view`). A worker SIGKILLed mid-update blocks nobody,
+    and ``recover_rank`` releases exactly the dead rank's slot.
+    ``active`` is the sum of the slot cells, the RTT floor the least
+    per-rank floor. The duck-typed surface matches the in-process
+    ledger, so :class:`ChunkController` is the same in both runtimes.
     """
 
-    def __init__(self, ctx) -> None:
-        self._lock = ctx.Lock()
-        self._active = ctx.Value("i", 0, lock=False)
-        self._peak = ctx.Value("i", 0, lock=False)
-        self._acquires = ctx.Value("i", 0, lock=False)
-        #: 0.0 encodes "no observation yet" (a real ship latency is > 0,
-        #: and observe_latency ignores non-positive samples anyway)
-        self._floor = ctx.Value("d", 0.0, lock=False)
+    def __init__(self, ctx, nranks: int) -> None:
+        self._slot = ctx.Array("i", nranks, lock=False)
+        self._peak = ctx.Array("i", nranks, lock=False)
+        self._acquires = ctx.Array("i", nranks, lock=False)
+        #: 0.0 encodes "no observation yet" (a real ship latency is > 0)
+        self._floor = ctx.Array("d", nranks, lock=False)
+        self.rank: int | None = None
+
+    def view(self, rank: int) -> "_SharedBandwidthBudget":
+        """The same ledger, written as *rank*."""
+        mine = copy.copy(self)
+        mine.rank = rank
+        return mine
 
     def acquire(self) -> None:
-        with self._lock:
-            self._active.value += 1
-            self._acquires.value += 1
-            if self._active.value > self._peak.value:
-                self._peak.value = self._active.value
+        # a process ships at most one transfer: its slot is 0 or 1
+        self._slot[self.rank] = 1
+        self._acquires[self.rank] += 1
+        self._peak[self.rank] = max(self._peak[self.rank], self.active)
 
     def release(self) -> None:
-        with self._lock:
-            if self._active.value > 0:
-                self._active.value -= 1
+        self._slot[self.rank] = 0
 
     @property
     def active(self) -> int:
-        with self._lock:
-            return self._active.value
+        return sum(self._slot)
 
     @property
     def share(self) -> int:
         return max(1, self.active)
 
     def observe_latency(self, latency: float) -> None:
-        if latency <= 0.0:
-            return
-        with self._lock:
-            if self._floor.value == 0.0 or latency < self._floor.value:
-                self._floor.value = latency
+        floor = self._floor[self.rank]
+        if latency > 0.0 and (floor == 0.0 or latency < floor):
+            self._floor[self.rank] = latency
 
     @property
     def rtt_floor(self) -> float | None:
-        with self._lock:
-            return self._floor.value or None
+        return min((f for f in self._floor if f > 0.0), default=None)
 
     def stats(self) -> dict:
         """Ledger counters for tests and bench artifacts."""
-        with self._lock:
-            return {"active": self._active.value,
-                    "peak_active": self._peak.value,
-                    "acquires": self._acquires.value,
-                    "rtt_floor": self._floor.value or None}
+        return {"active": self.active, "peak_active": max(self._peak),
+                "acquires": sum(self._acquires),
+                "rtt_floor": self.rtt_floor}
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +250,8 @@ class _Registry:
         self.locations: dict[int, tuple] = {}
         self.status: dict[int, str] = {}
         self.init_addr: dict[int, tuple] = {}
+        #: rank -> control connection of its initialized process
+        self.init_ctl: dict[int, socket.socket] = {}
         self.worker_ctl: dict[int, socket.socket] = {}
         self.results: dict[int, Any] = {}
         self.done = threading.Event()
@@ -302,6 +299,7 @@ class _Registry:
                     _, rank, addr = frame
                     with self._lock:
                         self.init_addr[rank] = tuple(addr)
+                        self.init_ctl[rank] = conn
                         self._dir_write(rank)
                         self._changed.notify_all()
                     send_frame(conn, ("registered", time.time()))
@@ -330,6 +328,7 @@ class _Registry:
                         self.locations[rank] = tuple(addr)
                         self.status[rank] = "running"
                         self.init_addr.pop(rank, None)
+                        self.init_ctl.pop(rank, None)
                         self.worker_ctl[rank] = conn
                         self._dir_write(rank)
                         table = dict(self.locations)
@@ -437,12 +436,20 @@ class _Registry:
     def begin_recovery(self, rank: int) -> None:
         """Mark a crashed rank ``failed``: its old address stays published
         (peers' connects fail against a dead port and retry the lookup)
-        until the replacement registers and the record flips."""
+        until the replacement registers and the record flips. An
+        initialized process still waiting for the dead source is
+        cancelled: its control connection is shut down."""
         with self._lock:
             self.status[rank] = "failed"
             self.worker_ctl.pop(rank, None)
             self.init_addr.pop(rank, None)
+            orphan = self.init_ctl.pop(rank, None)
             self._dir_write(rank)
+        if orphan is not None:
+            try:
+                orphan.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the orphan is gone already
 
     def set_recovering(self, rank: int) -> None:
         """The replacement registered: publish ``migrating`` so lookups
@@ -512,7 +519,7 @@ class _PeerLink:
         self.inbox = inbox
         self.open = True
         self.stats = stats
-        #: the acceptor's GrantLedger token, settled when this link's
+        #: the acceptor's Drain grant token, settled when this link's
         #: ``new_link`` is dispatched (None on dialed/transfer links)
         self.grant: int | None = None
         #: the peer's receive cursor for us, as advertised in its hello
@@ -624,9 +631,9 @@ class _Worker:
         self.trace_id = trace_id
         #: fixed int or AdaptiveChunkPolicy (one controller per migration)
         self.chunk_bytes = chunk_bytes
-        #: host-wide fair-share ledger for concurrent adaptive transfers
-        #: (fork-shared; None for fixed chunk sizes or solo migrations)
-        self.budget = budget
+        #: host-wide fair-share ledger for concurrent adaptive transfers,
+        #: as this rank writes it (None for fixed chunk sizes)
+        self.budget = budget.view(rank) if budget is not None else None
         self.inbox: queue.Queue = queue.Queue()
         #: an initialized process's incoming state stream (Fig. 7):
         #: filled by the one transfer connection's reader thread, handed
@@ -640,11 +647,11 @@ class _Worker:
         self.recvlist: list[_StoredMessage] = []
         self.pl: dict[int, tuple] = {}
         self.migrate_requested: str | None = None
-        #: grant-or-reject and its count (accept thread), the freeze
-        #: (_migrate) and every settle (_dispatch) take this one lock, so
-        #: a connection is either counted before the drain snapshots the
-        #: ledger or refused — see repro.core.grants
-        self.grants = GrantLedger()
+        #: Fig. 5's drain (repro.core.drain). Grant-or-reject (accept
+        #: thread), the freeze (_migrate) and every settle (_dispatch)
+        #: take this one lock, so a connection is either counted before
+        #: the freeze or refused
+        self.drain = Drain()
         self._grant_lock = threading.Lock()
         #: serializes ctl-socket writes: the protocol thread (RPCs, obs
         #: batches, results) and the heartbeat thread share the socket
@@ -844,7 +851,7 @@ class _Worker:
                 # the backlog of a migrating process's dying listener)
                 peer_rank = hello[1]
                 with self._grant_lock:
-                    grant = self.grants.grant(peer_rank)
+                    grant = self.drain.grant(peer_rank)
                 if grant is None:
                     conn.close()  # reject: requester will consult registry
                     continue
@@ -941,8 +948,10 @@ class _Worker:
         except (FrameClosed, OSError):
             return
         finally:
-            # registry teardown: releases a parked (finished) worker
+            # registry teardown releases a parked (finished) worker; to
+            # an initialized process it is the cancellation (_init_main)
             self._ctl_closed.set()
+            self.inbox.put(("ctl", None, ("closed",)))
 
     def _await_ctl(self, kind: str) -> tuple:
         frame = self._ctl_replies.get(timeout=_CONNECT_TIMEOUT)
@@ -1182,24 +1191,22 @@ class _Worker:
         return True
 
     # -- inbox dispatch ----------------------------------------------------
-    def _dispatch(self, item: tuple, drain_waiting: set | None = None) -> None:
+    def _dispatch(self, item: tuple) -> None:
         kind, peer, payload = item
         if kind == "new_link":
             with self._grant_lock:
-                self.grants.adopt(payload.grant)
+                coordinate = self.drain.adopt(payload.grant)
             old = self.links.get(peer)
             self.links[peer] = payload
             if old is not None and old.open:
                 old.close()
-            if drain_waiting is not None:
-                payload.send(("peer_migrating", self.rank))
-                payload.close()
-                drain_waiting.add(peer)
+            if coordinate:
+                self._coordinate(peer, payload)
             else:
                 self._replay_outbox(peer, payload)
         elif kind == "grant_void":
             with self._grant_lock:
-                self.grants.void(payload)
+                self.drain.void(payload)
         elif kind == "replay_nudge":
             # a restored peer cannot be dialed into (replay is
             # sender-driven); it asks us to re-establish instead. Only
@@ -1220,12 +1227,7 @@ class _Worker:
                 # this link may still traverse it — push them out rather
                 # than abandon them in the batcher (flush eats OSError)
                 link.flush()
-                if drain_waiting is not None and peer in drain_waiting:
-                    drain_waiting.discard(peer)
-                    if self.obs is not None:
-                        self.obs.event("drain_peer", peer=peer,
-                                       last="closed", rank=self.rank,
-                                       **self._tctx("drain"))
+                self._last(peer, "closed")
         elif kind == "ctl":
             if payload[0] == "migrate":
                 self.migrate_requested = payload[1]
@@ -1244,25 +1246,15 @@ class _Worker:
             elif fkind == "peer_migrating":
                 link = self.links.pop(peer, None)
                 if link is not None:
-                    if drain_waiting is None:
+                    if self.drain.peer_migrating(peer):
                         link.send(("eom", self.rank))
                     link.close()
-                if drain_waiting is not None and peer in drain_waiting:
-                    drain_waiting.discard(peer)
-                    if self.obs is not None:
-                        self.obs.event("drain_peer", peer=peer,
-                                       last="peer_migrating", rank=self.rank,
-                                       **self._tctx("drain"))
+                self._last(peer, "peer_migrating")
             elif fkind == "eom":
                 link = self.links.pop(peer, None)
                 if link is not None:
                     link.close()
-                if drain_waiting is not None and peer in drain_waiting:
-                    drain_waiting.discard(peer)
-                    if self.obs is not None:
-                        self.obs.event("drain_peer", peer=peer,
-                                       last="eom", rank=self.rank,
-                                       **self._tctx("drain"))
+                self._last(peer, "eom")
             elif fkind == "ack":
                 # explicit durable-rx ack (the checkpoint tick): the peer
                 # has durably received our messages through *cursor*, so
@@ -1440,14 +1432,19 @@ class _Worker:
         return ({"trace_id": tid} if parent is None
                 else {"trace_id": tid, "parent": parent})
 
-    def _drain_stuck(self, waiting: set) -> RuntimeError:
-        """What a drain that hit its liveness bound was waiting for."""
-        g = self.grants
-        return RuntimeError(
-            f"rank {self.rank}: drain stuck for {_CONNECT_TIMEOUT:.0f}s: "
-            f"waiting={sorted(waiting)} (peers whose last message never "
-            f"came), grants granted={g.granted} settled={g.settled} "
-            f"(unsettled toward ranks {sorted(g.open.values())})")
+    def _coordinate(self, peer: int, link: _PeerLink) -> None:
+        """Fig. 5 line 5 on one link: ``peer_migrating`` is our last
+        frame; the drain waits for the peer's last message."""
+        link.send(("peer_migrating", self.rank))
+        link.close()
+        self.drain.coordinate(peer)
+
+    def _last(self, peer: int, how: str) -> None:
+        """*peer*'s last message arrived (``eom``, ``peer_migrating`` or a
+        close); one the drain waited for is a ``drain_peer`` event."""
+        if self.drain.last(peer) and self.obs is not None:
+            self.obs.event("drain_peer", peer=peer, last=how,
+                           rank=self.rank, **self._tctx("drain"))
 
     def _migrate(self, state: dict) -> None:
         obs = self.obs
@@ -1455,8 +1452,8 @@ class _Worker:
         freeze = self._span("freeze", **self._tctx())
         with self._grant_lock:
             # the accept loop rejects from here on; every connection it
-            # granted before is in the ledger and settled by the drain
-            self.grants.freeze()
+            # granted before is settled by the drain
+            self.drain.freeze()
         log.debug("rank %d: migrate() starting", self.rank)
         # (_rpc's reply wait is a liveness bound, never a safety mechanism)
         _, new_addr = self._rpc(("migration_start", self.rank),
@@ -1470,24 +1467,23 @@ class _Worker:
         self.listener.close()
         # coordinate every connected peer
         drain = self._span("drain", **self._tctx("reject"))
-        waiting: set[int] = set()
         for rank, link in list(self.links.items()):
             if link.open:
-                link.send(("peer_migrating", self.rank))
-                link.close()
-                waiting.add(rank)
-        npeers = len(waiting)
-        log.debug("rank %d: draining, waiting=%s", self.rank, waiting)
-        # Fig. 5 line 6 with the simulator's exact accounting: a granted
-        # link still on its way in from the accept thread is coordinated
-        # (and its last message waited for) when its new_link lands
-        while waiting or not self.grants.drained:
+                self._coordinate(rank, link)
+        npeers = len(self.drain.waiting)
+        log.debug("rank %d: draining, waiting=%s", self.rank,
+                  self.drain.waiting)
+        # Fig. 5 line 6: a granted link still on its way in from the
+        # accept thread is coordinated when its new_link lands
+        while not self.drain.drained:
             try:
                 # liveness bound, never a safety mechanism
                 item = self.inbox.get(timeout=_CONNECT_TIMEOUT)
             except queue.Empty:
-                raise self._drain_stuck(waiting) from None
-            self._dispatch(item, drain_waiting=waiting)
+                raise RuntimeError(
+                    f"rank {self.rank}: drain stuck for "
+                    f"{_CONNECT_TIMEOUT:.0f}s: {self.drain.stuck()}") from None
+            self._dispatch(item)
         if drain is not None:
             drain.close(peers=npeers)
         log.debug("rank %d: drain complete; transferring to %s",
@@ -1652,6 +1648,10 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
                 f"{asm.truncated()} (init rank {rank}: nothing arrived "
                 f"for {_CONNECT_TIMEOUT:.0f}s)") from None
         kind, peer, payload = item
+        if kind == "ctl" and payload[0] == "closed":
+            # our source died unconnected and recovery took the rank over
+            log.info("init rank %d: cancelled by the registry", rank)
+            return
         if kind == "state_complete":
             break
         if kind == "state_failed":
@@ -1837,7 +1837,7 @@ class MPCluster:
         #: fork-shared fair-share ledger for concurrent adaptive
         #: transfers; fixed chunk sizes need no ledger (no AIMD signal
         #: to protect from sibling queue wait)
-        self.budget = (_SharedBandwidthBudget(self._ctx)
+        self.budget = (_SharedBandwidthBudget(self._ctx, nranks)
                        if isinstance(self.chunk_bytes, AdaptiveChunkPolicy)
                        else None)
         self.registry.on_window_closed = self._commit_window
@@ -2137,13 +2137,10 @@ class MPCluster:
         # on the recover root span — the cross-migration causality edge
         # obs_trace_links() exposes.
         interrupted = self.registry.interrupted_migration(rank)
-        if interrupted is not None and self.budget is not None:
-            # the dead source may have died holding a bandwidth-budget
-            # slot (acquired when its transfer controller was built);
-            # release is clamped at zero, so freeing one here at worst
-            # under-counts a source that crashed before its transfer
-            # phase ever opened
-            self.budget.release()
+        if self.budget is not None:
+            # the dead source may have died holding its budget slot; the
+            # cell is the rank's own, so no live window is touched
+            self.budget.view(rank).release()
         collector = self.registry.collector
         if collector is not None:
             extra = {"links": [interrupted]} if interrupted else {}

@@ -8,7 +8,7 @@ connection granted (``hello_ack`` written) just before the freeze whose
 ``new_link`` took longer than the sweep to reach the protocol thread was
 never coordinated, and every message its dialer sent was lost
 (Theorem 2). These tests pin the replacement, the
-:class:`~repro.core.grants.GrantLedger` drain, against real processes;
+:class:`~repro.core.drain.Drain`, against real processes;
 the faults are injected by patching ``_Worker`` before the cluster forks,
 so the workers inherit them.
 """

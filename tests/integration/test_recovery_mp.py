@@ -16,13 +16,15 @@ from __future__ import annotations
 import hashlib
 import os
 import signal
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.codec import decode
 from repro.recovery import RecoverySpec, RestartPolicy
-from repro.runtime import MPCluster
+from repro.runtime import MPCluster, mp as mp_mod
 
 COUNT = 40
 
@@ -275,3 +277,70 @@ def test_delta_checkpoints_recover_and_shrink_disk_writes():
         cluster.terminate()
     assert results[2]["got"] == list(range(COUNT))
     assert results[1]["incarnation"] == 1
+
+
+def _stream_to_1(api, state):
+    """Rank 0 streams COUNT paced messages to rank 1; both poll."""
+    i = state.get("i", 0)
+    got = state.setdefault("got", [])
+    while i < COUNT:
+        if api.rank == 0:
+            api.send(1, i, tag=i)
+        else:
+            got.append(api.recv(src=0, tag=i).body)
+        i += 1
+        state["i"] = i
+        api.compute(0.02)
+        api.poll_migration(state)
+    return got
+
+
+def test_orphaned_initialized_process_dies_with_its_source(monkeypatch):
+    """The source SIGKILLs itself on the ``new_process`` reply, before it
+    ever connects to its initialized process. Recovery takes the rank
+    over and the registry cancels the orphan through its control
+    connection, instead of the orphan waiting out ``_CONNECT_TIMEOUT``."""
+    rpc = mp_mod._Worker._rpc
+
+    def dying_rpc(self, request, reply_kind):
+        reply = rpc(self, request, reply_kind)
+        if request[0] == "migration_start" and self.incarnation == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return reply
+
+    monkeypatch.setattr(mp_mod._Worker, "_rpc", dying_rpc)
+    orphan_addr: list = []
+    signal_migrate = mp_mod._Registry.signal_migrate
+
+    def recording_signal(self, rank, *args):
+        with self._lock:
+            orphan_addr.append(self.init_addr[rank])
+        return signal_migrate(self, rank, *args)
+
+    monkeypatch.setattr(mp_mod._Registry, "signal_migrate", recording_signal)
+    recovered = threading.Event()
+    recover_rank = mp_mod.MPCluster.recover_rank
+
+    def recover_and_tell(self, rank):
+        out = recover_rank(self, rank)
+        recovered.set()
+        return out
+
+    monkeypatch.setattr(mp_mod.MPCluster, "recover_rank", recover_and_tell)
+    cluster = MPCluster(_stream_to_1, nranks=2,
+                        recovery=RecoverySpec(checkpoint_every=2))
+    try:
+        cluster.start()
+        cluster.migrate(1)
+        orphan = next(m.proc for m in cluster.members()
+                      if m.rank == 1 and m.role == "init")
+        assert recovered.wait(30.0), "rank 1 was never recovered"
+        orphan.join(2.0)
+        assert not orphan.is_alive(), "the orphan outlived recovery by 2 s"
+        with pytest.raises(OSError):
+            socket.create_connection(orphan_addr[0], timeout=1.0).close()
+        results = cluster.join(timeout=60)
+    finally:
+        cluster.terminate()
+    assert results[1] == list(range(COUNT))
+    assert cluster.recovery_report()["restarts"] == 1
