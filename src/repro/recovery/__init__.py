@@ -11,8 +11,8 @@ around that observation:
   :class:`~repro.recovery.policy.RestartTracker` — exponential backoff
   with a max-restarts window and permanent-failure escalation;
 * :class:`~repro.recovery.spec.RecoverySpec` — the single knob handed to
-  ``MPCluster(recovery=...)``: checkpoint cadence, heartbeat cadence,
-  restart policy, shard supervision and WAL durability;
+  ``MPCluster(recovery=...)``: durable root, checkpoint cadence,
+  restart policy, heartbeat timeout and delta checkpoints;
 * :class:`~repro.recovery.supervisor.Supervisor` — the launcher-side
   monitor: child exit codes (waitpid via ``multiprocessing``), heartbeat
   staleness over the ctl channel, and dead shard daemons all funnel into
@@ -26,7 +26,7 @@ the directory record on ``restore_complete``. Shard durability lives in
 """
 
 from repro.recovery.policy import RestartPolicy, RestartTracker
-from repro.recovery.spec import RecoverySpec, WorkerRecoveryConfig
+from repro.recovery.spec import RecoverySpec
 from repro.recovery.supervisor import Supervisor
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "RestartPolicy",
     "RestartTracker",
     "Supervisor",
-    "WorkerRecoveryConfig",
 ]

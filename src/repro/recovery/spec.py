@@ -12,11 +12,15 @@
   receiver (the wire format without recovery is unchanged);
 * **supervision** — the launcher-side
   :class:`~repro.recovery.supervisor.Supervisor` watches worker exit
-  codes, heartbeat frames and shard daemons, restarting per
-  :class:`~repro.recovery.policy.RestartPolicy`;
+  codes, heartbeat frames (when ``heartbeat_timeout`` is set) and shard
+  daemons, restarting per :class:`~repro.recovery.policy.RestartPolicy`;
 * **shard WAL** — directory shard daemons durably log accepted updates
   (:mod:`repro.directory.wal`) and replay them on a supervised restart
   instead of depending on the registry re-seed.
+
+Shard supervision and shard WALs are always on in a recovery run; the
+supervisor's scan period and the delta store's chain bound are
+constants.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 
 from repro.recovery.policy import RestartPolicy
 
-__all__ = ["RecoverySpec", "WorkerRecoveryConfig"]
+__all__ = ["RecoverySpec"]
 
 
 @dataclass(frozen=True)
@@ -38,24 +42,18 @@ class RecoverySpec:
     ``<dir>/dirwal``); ``None`` allocates a temp directory for the run.
     ``heartbeat_timeout=None`` disables liveness-by-heartbeat (exit-code
     supervision alone); set it to catch *wedged* — not dead — ranks.
+    Workers then beacon ten times per timeout; without one they send no
+    beacons at all. ``delta_checkpoints`` writes only the encoded parts
+    that changed since the rank's previous version (plus a manifest;
+    ``CheckpointStore`` compacts every 8th write and collects superseded
+    chains).
     """
 
     dir: str | None = None
     checkpoint_every: int = 1
     policy: RestartPolicy = field(default_factory=RestartPolicy)
-    supervise_shards: bool = True
-    shard_wal: bool = True
-    heartbeat_every: float = 0.25
     heartbeat_timeout: float | None = None
-    poll_interval: float = 0.02
-    #: incremental checkpoints: diff the encoded part list against the
-    #: previous version and write only changed parts (plus a manifest);
-    #: every ``delta_max_chain``-th write is self-contained (compaction)
     delta_checkpoints: bool = False
-    delta_max_chain: int = 8
-    #: garbage-collect superseded chain files at compaction points (one
-    #: previous chain window retained; see ``CheckpointStore.delta_gc``)
-    delta_gc: bool = True
 
     @classmethod
     def coerce(cls, value: "RecoverySpec | bool | str | None"
@@ -77,19 +75,3 @@ class RecoverySpec:
             Path(self.dir).mkdir(parents=True, exist_ok=True)
             return str(self.dir)
         return tempfile.mkdtemp(prefix="repro-recovery-")
-
-
-@dataclass(frozen=True)
-class WorkerRecoveryConfig:
-    """The worker-process slice of a :class:`RecoverySpec`.
-
-    Plain data, inherited over fork: where to write checkpoints, how
-    often, and the heartbeat cadence.
-    """
-
-    dir: str
-    checkpoint_every: int = 1
-    heartbeat_every: float = 0.25
-    delta_checkpoints: bool = False
-    delta_max_chain: int = 8
-    delta_gc: bool = True

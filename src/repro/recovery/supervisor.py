@@ -45,6 +45,9 @@ __all__ = ["Supervisor"]
 
 log = logging.getLogger("repro.mp.sup")
 
+#: seconds between two scans of exit codes, heartbeats and shards
+_POLL_INTERVAL = 0.02
+
 
 class Supervisor:
     """Monitor one :class:`~repro.runtime.mp.MPCluster`'s children."""
@@ -90,7 +93,7 @@ class Supervisor:
 
     # -- the watch loop ----------------------------------------------------
     def _loop(self) -> None:
-        while not self._stop.wait(self.spec.poll_interval):
+        while not self._stop.wait(_POLL_INTERVAL):
             try:
                 self._scan_ranks()
                 self._scan_heartbeats()
@@ -137,8 +140,6 @@ class Supervisor:
                 pass  # raced its own exit; the exit-code scan follows
 
     def _scan_shards(self) -> None:
-        if not self.spec.supervise_shards:
-            return
         host = getattr(self.cluster.registry, "daemon_host", None)
         if host is None:
             return

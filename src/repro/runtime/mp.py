@@ -38,7 +38,10 @@ accept-from-start path, ships the checkpoint exactly as a migrating
 source would ship live state, and the directory record flips on the same
 ``restore_complete``. Duplicate deliveries from replay + deterministic
 re-execution are dropped by the receiver's sequence cursor, so the
-stream stays exactly-once. See ``docs/recovery.md``.
+stream stays exactly-once. Every such decision, and the wrapper that is
+the one state shape a recovery run ships, belongs to the pure
+:class:`repro.core.epoch.Epoch` the worker drives. See
+``docs/recovery.md``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import socket
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.codec import (
@@ -71,6 +74,7 @@ from repro.core.adaptive import (
 )
 from repro.core.checkpointing import CheckpointStore
 from repro.core.drain import Drain
+from repro.core.epoch import Epoch
 from repro.core.gang import ADMIT, GangAdmission
 from repro.core.streaming import (
     DEFAULT_CHUNK_BYTES,
@@ -82,7 +86,7 @@ from repro.directory.shard import reply_for
 from repro.directory.spec import DirectorySpec
 from repro.obs import ObsConfig, RegistryCollector, WorkerObs
 from repro.obs.metrics import POW2_BUCKETS
-from repro.recovery.spec import RecoverySpec, WorkerRecoveryConfig
+from repro.recovery.spec import RecoverySpec
 from repro.recovery.supervisor import Supervisor
 from repro.runtime.framing import (
     FrameBatcher,
@@ -97,15 +101,9 @@ from repro.runtime.mp_directory import (
     DirectoryDaemonHost,
     MPDirectoryClient,
 )
-from repro.util.errors import MigrationError
+from repro.util.errors import MigrationError, ReproError
 
 __all__ = ["MPCluster", "MPApi"]
-
-#: Reserved keys inside shipped/checkpointed state dicts. ``__repro_comm__``
-#: rides along a live migration (the communication-state epoch must move
-#: with the rank); ``__repro_ckpt__`` marks a checkpoint wrapper blob.
-_COMM_KEY = "__repro_comm__"
-_CKPT_KEY = "__repro_ckpt__"
 
 _BACKLOG = 16
 _CONNECT_TIMEOUT = 10.0
@@ -121,6 +119,11 @@ def _nodelay(sock: socket.socket) -> None:
     ``hb``, ``obs``) behind request/reply pairs; with Nagle on, such a
     frame waits for the delayed ACK of the reply before it (~40 ms)."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _ckpt_dir(rec: RecoverySpec) -> str:
+    """Where a run's rank checkpoints live, under its resolved root."""
+    return os.path.join(rec.dir, "ckpt")
 
 
 def _configure_logging() -> None:
@@ -616,7 +619,7 @@ class _Worker:
                  arch: Architecture, incarnation: int,
                  obs: ObsConfig | None = None,
                  dir_cfg: DaemonClientConfig | None = None,
-                 rec_cfg: WorkerRecoveryConfig | None = None,
+                 rec: RecoverySpec | None = None,
                  chunk_bytes=DEFAULT_CHUNK_BYTES,
                  trace_id: str | None = None,
                  budget: "_SharedBandwidthBudget | None" = None):
@@ -657,38 +660,18 @@ class _Worker:
         #: batches, results) and the heartbeat thread share the socket
         self._ctl_wlock = threading.Lock()
 
-        # -- communication-state epoch (recovery runs only) ----------------
-        self.rec = rec_cfg
-        #: src -> highest contiguous data seq delivered from src
-        self._rx_seq: dict[int, int] = {}
-        #: dest -> last data seq assigned toward dest
-        self._tx_seq: dict[int, int] = {}
-        #: dest -> retained [(seq, tag, body)] not yet known durable there
-        self._outbox: dict[int, list[tuple]] = {}
-        #: dest -> our rx cursor for dest at our last checkpoint — what a
-        #: post-crash replacement of *us* would advertise; piggybacked on
-        #: data frames so peers can prune their outboxes toward us
-        self._durable_rx: dict[int, int] = {}
-        #: src -> highest durable-rx cursor seen from src (prune marker)
-        self._peer_durable: dict[int, int] = {}
-        #: src -> durable cursor we last *explicitly* acked to src; the
-        #: ack tick only fires for cursors that advanced past this
-        self._acked_durable: dict[int, int] = {}
-        self._ckpt_version = 0
+        #: recovery runs only: the spec, and the exactly-once state
+        #: (repro.core.epoch) this worker drives. A replacement holds its
+        #: inbox until the wrapper it was sent is restored; an original
+        #: worker's empty epoch is legitimately restored from the start.
+        self.rec = rec
+        self.epoch: Epoch | None = None
+        self._ckpt_store: CheckpointStore | None = None
         self._polls = 0
-        #: False until a restored incarnation has absorbed its comm state;
-        #: outbox replay toward freshly adopted links waits on it. An
-        #: original (non-initializing) worker starts ready: its epoch is
-        #: legitimately empty.
-        self._comm_ready = rec_cfg is None or not initializing
-        self._replay_pending: list[_PeerLink] = []
-        #: set when the registry closes our ctl socket (cluster teardown)
-        self._ctl_closed = threading.Event()
-        self._ckpt_store = (
-            CheckpointStore(rec_cfg.dir, delta=rec_cfg.delta_checkpoints,
-                            delta_max_chain=rec_cfg.delta_max_chain,
-                            delta_gc=rec_cfg.delta_gc)
-            if rec_cfg is not None else None)
+        if rec is not None:
+            self.epoch = Epoch.awaiting_restore() if initializing else Epoch()
+            self._ckpt_store = CheckpointStore(_ckpt_dir(rec),
+                                               delta=rec.delta_checkpoints)
 
         self.obs: WorkerObs | None = None
         if obs is not None:
@@ -734,7 +717,7 @@ class _Worker:
             # the registry echoed its clock: one midpoint-of-RTT sample
             # of the reference timeline (see repro.obs.clock)
             self.obs.clock.observe("registry", t_reg, reg[1], time.time())
-        if rec_cfg is not None:
+        if rec is not None and rec.heartbeat_timeout is not None:
             threading.Thread(target=self._hb_loop, daemon=True).start()
         if self.obs is not None and obs.flush_seconds > 0:
             threading.Thread(target=self._obs_flush_loop,
@@ -763,13 +746,15 @@ class _Worker:
             send_frame(self.ctl, frame)
 
     def _hb_loop(self) -> None:
-        """Liveness beacon: one ``("hb", rank, ts)`` per cadence tick.
+        """Liveness beacon: one ``("hb", rank, ts)`` ten times per
+        ``heartbeat_timeout`` (runs only when one is set: nothing else
+        reads beacons).
 
         One-way (no reply lands in ``_ctl_replies``), so it coexists
         with RPCs; the write lock keeps frames from interleaving.
         """
         while True:
-            time.sleep(self.rec.heartbeat_every)
+            time.sleep(self.rec.heartbeat_timeout / 10)
             try:
                 self._ctl_send(("hb", self.rank, time.time()))
             except OSError:
@@ -855,22 +840,17 @@ class _Worker:
                 if grant is None:
                     conn.close()  # reject: requester will consult registry
                     continue
-                # recovery handshake: a cursor-bearing hello carries the
-                # peer's receive cursor for us; the ack answers with
-                # ours (None when recovery is off). The cursor read
-                # races the protocol thread only toward a *smaller*
-                # value — replay past it is dedup'd, never lost. With
-                # obs on, the ack also echoes our clock so the dialer
-                # gets a per-peer offset sample (repro.obs.clock).
-                cursor = (self._rx_seq.get(peer_rank, 0)
-                          if self.rec is not None and len(hello) >= 3
-                          else None)
-                if self.obs is not None:
-                    ack = ("hello_ack", self.rank, cursor, time.time())
-                elif cursor is not None:
-                    ack = ("hello_ack", self.rank, cursor)
-                else:
-                    ack = ("hello_ack", self.rank)
+                # recovery runs: the hello carries the peer's receive
+                # cursor for us and the ack answers with ours (None
+                # otherwise). The cursor read races the protocol thread
+                # only toward a *smaller* value — replay past it is
+                # dedup'd, never lost. With obs on, the ack also echoes
+                # our clock, so the dialer gets a per-peer offset sample
+                # (repro.obs.clock).
+                ack = ("hello_ack", self.rank,
+                       (self.epoch.cursor(peer_rank)
+                        if self.epoch is not None else None),
+                       time.time() if self.obs is not None else None)
                 try:
                     send_frame(conn, ack)
                 except OSError:
@@ -881,8 +861,7 @@ class _Worker:
                     continue
                 link = self._make_link(conn, peer_rank)
                 link.grant = grant
-                if len(hello) >= 3:
-                    link.replay_from = hello[2]
+                link.replay_from = hello[2]
                 # announced before its reader starts: no frame of this
                 # link reaches the protocol thread ahead of the link, so
                 # a settled grant is always a coordinated connection
@@ -950,7 +929,6 @@ class _Worker:
         finally:
             # registry teardown releases a parked (finished) worker; to
             # an initialized process it is the cancellation (_init_main)
-            self._ctl_closed.set()
             self.inbox.put(("ctl", None, ("closed",)))
 
     def _await_ctl(self, kind: str) -> tuple:
@@ -996,11 +974,10 @@ class _Worker:
                 try:
                     sock = socket.create_connection(
                         tuple(addr), timeout=_CONNECT_TIMEOUT)
-                    hello = (("hello", self.rank, self._rx_seq.get(dest, 0))
-                             if self.rec is not None
-                             else ("hello", self.rank))
                     t_hello = time.time()
-                    send_frame(sock, hello)
+                    send_frame(sock, ("hello", self.rank,
+                                      self.epoch.cursor(dest)
+                                      if self.epoch is not None else None))
                     # wait for the application-level acknowledgement: a
                     # migrating process never answers (its listener is
                     # closed or the accept loop is gone), so the connect
@@ -1015,13 +992,10 @@ class _Worker:
                     link = self._make_link(sock, dest)
                     link.start()
                     self.links[dest] = link
-                    if len(ack) >= 3 and ack[2] is not None:
-                        link.replay_from = ack[2]
-                        self._replay_outbox(dest, link)
-                    if obs is not None and len(ack) >= 4:
+                    self._replay(dest, link, ack[2])
+                    if obs is not None:
                         obs.clock.observe(f"p{dest}", t_hello, ack[3],
                                           t_ack)
-                    if obs is not None:
                         self._c_connects.inc()
                         self._c_retries.inc(attempts - 1)
                         obs.event("connect", dest=dest, attempts=attempts,
@@ -1050,54 +1024,20 @@ class _Worker:
                 self.pl[dest] = addr
         raise RuntimeError(f"could not connect to rank {dest}")
 
-    # -- recovery: outbox replay and receive-side dedup ---------------------
-    def _data_frame(self, dest: int, tag: int, body: Any,
-                    seq: int) -> tuple:
-        return ("data", self.rank, tag, body, seq,
-                self._durable_rx.get(dest, 0))
-
-    def _replay_outbox(self, dest: int, link: _PeerLink) -> None:
-        """Resend retained messages past the peer's advertised cursor.
-
-        Runs on link adoption (either direction of establishment). Until
-        a restored incarnation has loaded its comm state the replay is
-        parked — replaying from an empty outbox would silently skip the
-        pre-checkpoint suffix the peer is missing.
-        """
-        if link.replay_from is None or self.rec is None:
+    # -- recovery: outbox replay -------------------------------------------
+    def _replay(self, dest: int, link: _PeerLink, cursor: int | None) -> None:
+        """Resend what *dest* is missing past the receive *cursor* it
+        advertised (recovery runs; on a link's establishment, either
+        direction — ``None`` when recovery is off)."""
+        if cursor is None:
             return
-        if not self._comm_ready:
-            self._replay_pending.append(link)
-            return
-        replayed = 0
-        for seq, tag, body in self._outbox.get(dest, []):
-            if seq > link.replay_from:
-                link.stage(self._data_frame(dest, tag, body, seq))
-                replayed += 1
-        link.replay_from = None  # replay once per link
-        if replayed and self.obs is not None:
-            self._c_replayed.inc(replayed)
+        frames = self.epoch.replay(dest, cursor)
+        for seq, tag, body, durable in frames:
+            link.stage(("data", self.rank, tag, body, seq, durable))
+        if frames and self.obs is not None:
+            self._c_replayed.inc(len(frames))
             self.obs.event("retry", what="outbox_replay", dest=dest,
-                           count=replayed)
-
-    def _restore_comm(self, comm: dict) -> None:
-        """Adopt a shipped communication-state epoch (migration arrival
-        or checkpoint restore), then run any parked replays."""
-        self._rx_seq = {int(k): int(v)
-                        for k, v in (comm.get("rx") or {}).items()}
-        self._tx_seq = {int(k): int(v)
-                        for k, v in (comm.get("tx") or {}).items()}
-        self._durable_rx = {int(k): int(v)
-                            for k, v in (comm.get("durable_rx")
-                                         or {}).items()}
-        self._outbox = {int(k): [tuple(e) for e in v]
-                        for k, v in (comm.get("outbox") or {}).items()}
-        self._ckpt_version = int(comm.get("version", 0))
-        self._comm_ready = True
-        pending, self._replay_pending = self._replay_pending, []
-        for link in pending:
-            if link.open and self.links.get(link.rank) is link:
-                self._replay_outbox(link.rank, link)
+                           count=len(frames))
 
     def _request_replays(self) -> None:
         """Nudge every peer to reconnect and replay toward us.
@@ -1137,61 +1077,24 @@ class _Worker:
         destroy it. So a recovery-enabled worker keeps its accept loop
         reachable and its inbox draining — adopting links, answering
         replay nudges, flushing staged replays — until the registry
-        closes the ctl socket at cluster teardown.
+        closes the ctl socket at cluster teardown (``_ctl_loop`` posts
+        ``("ctl", None, ("closed",))``).
         """
-        while not self._ctl_closed.is_set():
-            try:
-                item = self.inbox.get(timeout=0.2)
-            except queue.Empty:
-                self._flush_links()
-                continue
+        while True:
+            self._flush_links()
+            item = self.inbox.get()
+            if item[0] == "ctl" and item[2][0] == "closed":
+                return
             try:
                 self._dispatch(item)
-            except (RuntimeError, ValueError):
+            except (ReproError, RuntimeError, ValueError):
                 log.exception("rank %d: dispatch while parked failed",
                               self.rank)
-            self._flush_links()
-
-    def _comm_epoch(self) -> dict:
-        """The communication state that must travel with this rank."""
-        return {"rx": dict(self._rx_seq), "tx": dict(self._tx_seq),
-                "durable_rx": dict(self._durable_rx),
-                "outbox": {d: list(v) for d, v in self._outbox.items()},
-                "version": self._ckpt_version}
-
-    def _accept_data(self, src: int, seq: int | None,
-                     peer_durable: int | None) -> bool:
-        """Receive-side sequencing: True if the frame is new.
-
-        Drops anything at or below the cursor (a replay or a restarted
-        sender's deterministic re-execution); enforces contiguity above
-        it — a gap means the exactly-once invariant broke upstream, and
-        silently reordering would corrupt the program, so fail loudly.
-        """
-        if seq is None or self.rec is None:
-            return True
-        if peer_durable is not None and \
-                peer_durable > self._peer_durable.get(src, 0):
-            # the sender checkpointed through peer_durable: messages we
-            # retain for it up to that cursor can never be asked for again
-            self._peer_durable[src] = peer_durable
-            box = self._outbox.get(src)
-            if box:
-                self._outbox[src] = [e for e in box if e[0] > peer_durable]
-        rx = self._rx_seq.get(src, 0)
-        if seq <= rx:
-            if self.obs is not None:
-                self._c_dups.inc()
-            return False
-        if seq != rx + 1:
-            raise RuntimeError(
-                f"rank {self.rank}: data gap from {src}: "
-                f"got seq {seq} after {rx}")
-        self._rx_seq[src] = seq
-        return True
 
     # -- inbox dispatch ----------------------------------------------------
     def _dispatch(self, item: tuple) -> None:
+        if self.epoch is not None and self.epoch.hold(item):
+            return  # a replacement judges nothing before its restore
         kind, peer, payload = item
         if kind == "new_link":
             with self._grant_lock:
@@ -1203,7 +1106,7 @@ class _Worker:
             if coordinate:
                 self._coordinate(peer, payload)
             else:
-                self._replay_outbox(peer, payload)
+                self._replay(peer, payload, payload.replay_from)
         elif kind == "grant_void":
             with self._grant_lock:
                 self.drain.void(payload)
@@ -1212,7 +1115,7 @@ class _Worker:
             # sender-driven); it asks us to re-establish instead. Only
             # worth a connect when we retain messages it may be missing.
             link = self.links.get(peer)
-            if (self.rec is not None and self._outbox.get(peer)
+            if (self.epoch is not None and self.epoch.retains(peer)
                     and (link is None or not link.open)):
                 try:
                     self._connect(peer)
@@ -1236,13 +1139,13 @@ class _Worker:
         elif kind == "peer":
             fkind = payload[0]
             if fkind == "data":
-                if len(payload) == 4:
-                    _, src, tag, body = payload
-                    seq = peer_durable = None
-                else:
-                    _, src, tag, body, seq, peer_durable = payload
-                if self._accept_data(src, seq, peer_durable):
+                # recovery runs append (seq, durable) and drop duplicates
+                src, tag, body = payload[1:4]
+                if self.epoch is None or self.epoch.deliver(src,
+                                                            *payload[4:]):
                     self.recvlist.append(_StoredMessage(src, tag, body))
+                elif self.obs is not None:
+                    self._c_dups.inc()
             elif fkind == "peer_migrating":
                 link = self.links.pop(peer, None)
                 if link is not None:
@@ -1256,19 +1159,8 @@ class _Worker:
                     link.close()
                 self._last(peer, "eom")
             elif fkind == "ack":
-                # explicit durable-rx ack (the checkpoint tick): the peer
-                # has durably received our messages through *cursor*, so
-                # the retained suffix up to it can never be replayed —
-                # prune. This is what bounds outbox growth for flows the
-                # data-frame piggyback never covers (pure producers).
-                _, src, cursor = payload
-                if self.rec is not None and \
-                        cursor > self._peer_durable.get(src, 0):
-                    self._peer_durable[src] = cursor
-                    box = self._outbox.get(src)
-                    if box:
-                        self._outbox[src] = [e for e in box
-                                             if e[0] > cursor]
+                # explicit durable-rx ack (see _checkpoint)
+                self.epoch.ack(payload[1], payload[2])
             else:
                 raise ValueError(f"bad peer frame {payload!r}")
         else:  # pragma: no cover
@@ -1276,18 +1168,11 @@ class _Worker:
 
     # -- the API operations ---------------------------------------------------
     def send(self, dest: int, body: Any, tag: int = 0) -> None:
-        if self.rec is None:
+        if self.epoch is None:
             frame = ("data", self.rank, tag, body)
         else:
-            seq = self._tx_seq.get(dest, 0) + 1
-            self._tx_seq[dest] = seq
-            box = self._outbox.setdefault(dest, [])
-            # a restored rank re-executes sends it already retained: the
-            # regenerated message is byte-equal by determinism, so the
-            # outbox keeps the original entry
-            if not box or seq > box[-1][0]:
-                box.append((seq, tag, body))
-            frame = self._data_frame(dest, tag, body, seq)
+            frame = ("data", self.rank, tag, body,
+                     *self.epoch.send(dest, tag, body))
         for attempt in range(3):
             link = self.links.get(dest)
             if link is None or not link.open:
@@ -1301,7 +1186,7 @@ class _Worker:
                 # reconnect (blocking on the replacement) and let the
                 # handshake replay cover whatever the dead link ate.
                 link.open = False
-                if self.rec is None or attempt == 2:
+                if self.epoch is None or attempt == 2:
                     raise
         if self.obs is not None:
             self._c_sent.inc()
@@ -1354,55 +1239,39 @@ class _Worker:
         """Steady-state levels, refreshed at poll/recv points."""
         self._g_qdepth.set(self.inbox.qsize() + len(self.recvlist))
         self._g_links.set(sum(1 for l in self.links.values() if l.open))
-        self._g_outbox.set(sum(len(v) for v in self._outbox.values()))
+        self._g_outbox.set(self.epoch.outbox_len
+                           if self.epoch is not None else 0)
 
     # -- checkpointing (recovery runs) --------------------------------------
     def _checkpoint(self, state: dict) -> None:
-        """Persist a restart point: program state + undelivered recvlist
-        + the communication-state epoch, as one wrapper blob.
+        """Persist a restart point: the epoch's wrapper (program state +
+        undelivered recvlist + communication state) as one blob, then
+        tell senders what is now durably received.
 
         A poll point is message-consistent *for this rank*: everything
         delivered is in ``state``/``recvlist``, everything sent is in the
         outbox. Recovery restores the rank alone — no global snapshot
         line — and the sequence cursors reconcile the channels, in the
         style of sender-retained message logging.
-        """
-        self._ckpt_version += 1
-        wrapper = {
-            _CKPT_KEY: 1,
-            "state": state,
-            "recvlist": [(m.src, m.tag, m.body) for m in self.recvlist],
-            **self._comm_epoch(),
-            "version": self._ckpt_version,
-        }
-        if self._ckpt_store.delta:
-            self._ckpt_store.save_parts(self.rank, self._ckpt_version,
-                                        encode_parts(wrapper, self.arch))
-        else:
-            blob = encode(wrapper, self.arch)
-            self._ckpt_store.save_blob(self.rank, self._ckpt_version, blob)
-        # the checkpoint is durable: our receive cursors are now what a
-        # replacement of us would advertise — piggyback them so peers
-        # prune their outboxes toward us
-        self._durable_rx = dict(self._rx_seq)
-        if self.obs is not None:
-            self._c_ckpts.inc()
-        self._ack_tick()
 
-    def _ack_tick(self) -> None:
-        """Tell senders their messages are durably received.
-
-        The piggyback on data frames only reaches peers we *send to*; in
-        a one-directional flow the producer never hears its consumer's
-        durable cursor, so its outbox grows until this explicit ack
-        lands. Fired right after each checkpoint, only for cursors that
-        advanced since the last tick — a quiescent channel costs no
+        The cursor piggyback on data frames only reaches peers we *send
+        to*: a pure producer would never hear its consumer's durable
+        cursor, and its outbox would grow for the whole run. So the
+        acks due go out as explicit ``("ack", rank, cursor)`` frames —
+        only for cursors that advanced, so a quiescent channel costs no
         frames.
         """
+        wrapper = self.epoch.checkpoint(state, self._list_a())
+        if self._ckpt_store.delta:
+            self._ckpt_store.save_parts(self.rank, self.epoch.version,
+                                        encode_parts(wrapper, self.arch))
+        else:
+            self._ckpt_store.save_blob(self.rank, self.epoch.version,
+                                       encode(wrapper, self.arch))
+        if self.obs is not None:
+            self._c_ckpts.inc()
         staged = False
-        for src, cursor in self._durable_rx.items():
-            if cursor <= self._acked_durable.get(src, 0):
-                continue
+        for src, cursor in self.epoch.durable():
             link = self.links.get(src)
             if link is None or not link.open:
                 continue
@@ -1411,10 +1280,14 @@ class _Worker:
             except OSError:
                 link.open = False
                 continue
-            self._acked_durable[src] = cursor
+            self.epoch.acked_to(src, cursor)
             staged = True
         if staged:
             self._flush_links()
+
+    def _list_a(self) -> list[tuple]:
+        """The received-message-list as ``(src, tag, body)`` tuples."""
+        return [(m.src, m.tag, m.body) for m in self.recvlist]
 
     # -- migration (Fig. 5) -------------------------------------------------
     def _span(self, phase: str, **fields):
@@ -1493,30 +1366,22 @@ class _Worker:
         transfer = self._span("transfer", **self._tctx("reject"))
         ctrl_stats: dict = {}
         parts = None
-        list_a = [(m.src, m.tag, m.body) for m in self.recvlist]
-        if self.rec is not None and self._ckpt_store.delta:
-            # delta store on: the pre-departure encode doubles as the
-            # rank's final durable checkpoint — one encode and one hash
-            # pass serve both, and the wrapper (state + recvlist + comm
-            # epoch, exactly what recover_rank ships) goes on the wire,
-            # so ListA travels inside it
-            self._ckpt_version += 1
-            wrapper = {
-                _CKPT_KEY: 1,
-                "state": state,
-                "recvlist": list_a,
-                **self._comm_epoch(),
-                "version": self._ckpt_version,
-            }
-            parts = encode_parts(wrapper, self.arch)
-            self._ckpt_store.save_parts(self.rank, self._ckpt_version,
-                                        parts)
+        list_a = self._list_a()
+        if self.epoch is not None:
+            # a recovery run ships the epoch's wrapper (exactly what
+            # recover_rank ships), so ListA travels inside it: the new
+            # incarnation must keep the cursors, or peers' replays would
+            # double-deliver past a reset receive counter
+            if self._ckpt_store.delta:
+                # the pre-departure encode doubles as the rank's final
+                # durable checkpoint: one encode and one hash pass
+                state = self.epoch.checkpoint(state, list_a)
+                parts = encode_parts(state, self.arch)
+                self._ckpt_store.save_parts(self.rank, self.epoch.version,
+                                            parts)
+            else:
+                state = self.epoch.wrapper(state, list_a)
             list_a = []
-        elif self.rec is not None:
-            # the communication-state epoch migrates with the rank: the
-            # new incarnation must keep the cursors or peers' replays
-            # would double-deliver past a reset receive counter
-            state = {**state, _COMM_KEY: self._comm_epoch()}
         # liveness bound, never a safety mechanism
         xfer = socket.create_connection(tuple(new_addr),
                                         timeout=_CONNECT_TIMEOUT)
@@ -1597,13 +1462,13 @@ def _worker_main(rank: int, nranks: int, registry_addr: tuple,
                  obs: ObsConfig | None = None,
                  state: dict | None = None,
                  dir_cfg: DaemonClientConfig | None = None,
-                 rec_cfg: WorkerRecoveryConfig | None = None,
+                 rec: RecoverySpec | None = None,
                  chunk_bytes=DEFAULT_CHUNK_BYTES,
                  budget: "_SharedBandwidthBudget | None" = None) -> None:
     _configure_logging()
     w = _Worker(rank, nranks, registry_addr, program, initializing=False,
                 arch=arch, incarnation=0, obs=obs, dir_cfg=dir_cfg,
-                rec_cfg=rec_cfg, chunk_bytes=chunk_bytes, budget=budget)
+                rec=rec, chunk_bytes=chunk_bytes, budget=budget)
     w.pl = dict(pl)
     _run_program(w, dict(state) if state else {})
 
@@ -1613,14 +1478,14 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
                incarnation: int,
                obs: ObsConfig | None = None,
                dir_cfg: DaemonClientConfig | None = None,
-               rec_cfg: WorkerRecoveryConfig | None = None,
+               rec: RecoverySpec | None = None,
                chunk_bytes=DEFAULT_CHUNK_BYTES,
                trace_id: str | None = None,
                budget: "_SharedBandwidthBudget | None" = None) -> None:
     _configure_logging()
     w = _Worker(rank, nranks, registry_addr, program, initializing=True,
                 arch=arch, incarnation=incarnation, obs=obs,
-                dir_cfg=dir_cfg, rec_cfg=rec_cfg, chunk_bytes=chunk_bytes,
+                dir_cfg=dir_cfg, rec=rec, chunk_bytes=chunk_bytes,
                 trace_id=trace_id, budget=budget)
     # Fig. 7: accept connections from the start; wait for the transfer.
     # The transfer connection's reader (_transfer_read_loop) lays the
@@ -1628,17 +1493,16 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
     # source's chunk stream, or the single chunk recover_rank cuts from a
     # checkpoint — and reports completion or failure here; the recvlist
     # frame carries a trailing trace id, adopted when the launcher did
-    # not already hand one down.
+    # not already hand one down. In a recovery run the recvlist frame is
+    # empty — ListA rides inside the wrapper — and every other item waits
+    # in the epoch's hold until the wrapper is restored.
     # A recovery trace roots at the registry's ``recover`` span; a
     # migration's restore hangs under the source's ``transfer``.
     parent = ("recover" if trace_id and trace_id.startswith("rec-")
               else "transfer")
     restore = w._span("restore", **w._tctx(parent))
-    recvlist_a = None
+    list_a = None
     asm = w.state_asm
-    #: recovery runs park early data frames: their sequence numbers can
-    #: only be judged once the restored receive cursors are in place
-    deferred: list[tuple] = []
     while True:
         try:
             # liveness bound, never a safety mechanism
@@ -1657,18 +1521,12 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
         if kind == "state_failed":
             raise payload
         if kind == "peer" and payload[0] == "recvlist":
-            recvlist_a = payload[1]
+            list_a = payload[1]
             if w.trace_id is None and isinstance(payload[-1], str):
                 w.trace_id = payload[-1]
-        elif rec_cfg is not None and kind == "peer" and payload[0] == "data":
-            deferred.append(item)
-        elif rec_cfg is not None and kind == "replay_nudge":
-            # our outbox only exists after the restore below; a nudge
-            # honoured now would find nothing to replay and be lost
-            deferred.append(item)
         else:
             w._dispatch(item)
-    if recvlist_a is None:
+    if list_a is None:
         raise MigrationError(
             f"init rank {rank}: state arrived without its recvlist")
     # arrays come back as writable views over the receive buffer: all
@@ -1677,25 +1535,14 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
     state = decode_owned(asm.buffer)
     # from here the restored arrays alone keep the buffer alive
     asm = w.state_asm = None
-    ckpt_list: list = []
-    if isinstance(state, dict) and state.get(_CKPT_KEY):
-        # recovery: the "source" was a checkpoint wrapper, not a live
-        # process — unwrap it into program state + retained recvlist +
-        # communication epoch (Fig. 7 restore, fed from disk)
-        wrapper = state
-        state = wrapper["state"]
-        ckpt_list = [_StoredMessage(*t) for t in wrapper["recvlist"]]
-        w._restore_comm(wrapper)
-    elif isinstance(state, dict) and _COMM_KEY in state:
-        # live migration in a recovery-enabled run: the epoch rides in
-        # the state dict under a reserved key
-        w._restore_comm(state.pop(_COMM_KEY))
-    # the retained (checkpoint) list precedes ListA, which precedes
-    # anything that arrived on fresh connections — arrival order
-    w.recvlist = (ckpt_list
-                  + [_StoredMessage(*t) for t in recvlist_a]
-                  + w.recvlist)
-    for item in deferred:
+    held: list = []
+    if w.epoch is not None:
+        # a recovery run's source — a live rank or a checkpoint on disk —
+        # shipped the wrapper: program state, ListA and the epoch
+        state, list_a, held = w.epoch.restore(state)
+    # ListA precedes anything that arrived on fresh connections (Fig. 7)
+    w.recvlist = [_StoredMessage(*t) for t in list_a] + w.recvlist
+    for item in held:
         w._dispatch(item)
     if restore is not None:
         restore.close(nbytes=state_nbytes, chunks=nchunks,
@@ -1708,7 +1555,7 @@ def _init_main(rank: int, nranks: int, registry_addr: tuple,
     w.pl = {r: tuple(a) for r, a in frame[1].items()}
     if commit is not None:
         commit.close()
-    if rec_cfg is not None:
+    if w.epoch is not None:
         # ask every peer to reconnect and replay: idle or finished
         # senders hold messages the dead incarnation never durably
         # received and would otherwise never dial the replacement
@@ -1802,23 +1649,18 @@ class MPCluster:
         self.chunk_bytes = coerce_chunk_bytes(chunk_bytes)
         #: crash recovery: supervision + checkpoints + durable directory
         self.recovery = RecoverySpec.coerce(recovery)
-        self._recovery_root: str | None = None
+        #: what workers get: the spec with ``dir`` resolved to the run's
+        #: durable root (checkpoints under ``ckpt/``, shard WALs under
+        #: ``dirwal/``)
+        self._rec: RecoverySpec | None = None
         self._recovery_tmp = False
-        self._rec_cfg: WorkerRecoveryConfig | None = None
         dir_wal: str | None = None
         if self.recovery is not None:
-            self._recovery_root = self.recovery.resolve_dir()
+            self._rec = replace(self.recovery,
+                                dir=self.recovery.resolve_dir())
             self._recovery_tmp = self.recovery.dir is None
-            self._rec_cfg = WorkerRecoveryConfig(
-                dir=os.path.join(self._recovery_root, "ckpt"),
-                checkpoint_every=self.recovery.checkpoint_every,
-                heartbeat_every=self.recovery.heartbeat_every,
-                delta_checkpoints=self.recovery.delta_checkpoints,
-                delta_max_chain=self.recovery.delta_max_chain,
-                delta_gc=self.recovery.delta_gc)
-            spec = DirectorySpec.coerce(directory)
-            if self.recovery.shard_wal and spec.distributed:
-                dir_wal = os.path.join(self._recovery_root, "dirwal")
+            if DirectorySpec.coerce(directory).distributed:
+                dir_wal = os.path.join(self._rec.dir, "dirwal")
         self.registry = _Registry(directory=directory, obs=self.obs,
                                   dir_wal=dir_wal)
         self.registry.expected_results = nranks
@@ -1866,7 +1708,7 @@ class MPCluster:
                 target=_worker_main,
                 args=(rank, self.nranks, self.registry.addr, self.program,
                       {}, self.arch, self.obs, state, dir_cfg,
-                      self._rec_cfg, self.chunk_bytes, self.budget),
+                      self._rec, self.chunk_bytes, self.budget),
                 daemon=True)
             p.start()
             self._procs.append(p)
@@ -2033,7 +1875,7 @@ class MPCluster:
             target=_init_main,
             args=(rank, self.nranks, self.registry.addr, self.program,
                   self.dest_arch, inc, self.obs, self._dir_cfg(),
-                  self._rec_cfg, self.chunk_bytes, trace_id, self.budget),
+                  self._rec, self.chunk_bytes, trace_id, self.budget),
             daemon=True)
         p.start()
         self._procs.append(p)
@@ -2092,10 +1934,10 @@ class MPCluster:
 
     def checkpoint_store(self) -> CheckpointStore:
         """The run's durable checkpoint store (read-side: tests, CLI)."""
-        if self._rec_cfg is None:
+        if self._rec is None:
             raise RuntimeError(
                 "recovery is off; construct MPCluster(recovery=True)")
-        return CheckpointStore(self._rec_cfg.dir)
+        return CheckpointStore(_ckpt_dir(self._rec))
 
     def recovery_report(self) -> dict:
         """Supervisor restart/backoff/escalation summary."""
@@ -2122,7 +1964,7 @@ class MPCluster:
         for tests. Returns ``{rank, version, incarnation, seconds,
         nbytes}``.
         """
-        if self._rec_cfg is None:
+        if self._rec is None:
             raise RuntimeError(
                 "recovery is off; construct MPCluster(recovery=True)")
         t0 = time.time()
@@ -2147,7 +1989,7 @@ class MPCluster:
             collector.record("registry", "span_start",
                              phase="recover", rank=rank,
                              trace_id=trace_id, **extra)
-        store = CheckpointStore(self._rec_cfg.dir)
+        store = CheckpointStore(_ckpt_dir(self._rec))
         version = store.latest_complete_version(rank)
         if version is None:
             # crashed before its first durable checkpoint: restart from
@@ -2157,10 +1999,7 @@ class MPCluster:
             # deduplicate at the receivers.
             init = (self.init_states[rank]
                     if self.init_states else None) or {}
-            wrapper = {_CKPT_KEY: 1, "state": dict(init), "recvlist": [],
-                       "rx": {}, "tx": {}, "durable_rx": {}, "outbox": {},
-                       "version": 0}
-            blob = encode(wrapper, self.dest_arch)
+            blob = encode(Epoch().wrapper(dict(init), []), self.dest_arch)
         else:
             blob = store.load_blob(rank, version)
         self.registry.begin_recovery(rank)
@@ -2170,7 +2009,7 @@ class MPCluster:
             target=_init_main,
             args=(rank, self.nranks, self.registry.addr, self.program,
                   self.dest_arch, inc, self.obs, self._dir_cfg(),
-                  self._rec_cfg, self.chunk_bytes, trace_id, self.budget),
+                  self._rec, self.chunk_bytes, trace_id, self.budget),
             daemon=True)
         p.start()
         self._procs.append(p)
@@ -2214,9 +2053,9 @@ class MPCluster:
                 "trace_id": trace_id, "interrupted": interrupted}
 
     def _cleanup_recovery_dir(self) -> None:
-        if self._recovery_tmp and self._recovery_root is not None:
-            shutil.rmtree(self._recovery_root, ignore_errors=True)
-            self._recovery_root = None
+        if self._recovery_tmp:
+            shutil.rmtree(self._rec.dir, ignore_errors=True)
+            self._recovery_tmp = False
 
     def join(self, timeout: float = 60.0) -> dict[int, Any]:
         """Wait for every rank's result; returns rank → program return.

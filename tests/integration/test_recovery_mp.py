@@ -4,8 +4,8 @@ Recovery *is* migration-from-disk: the supervisor spawns a replacement
 through the same ``register_init`` / accept-from-start path a live
 migration uses, ships the newest complete checkpoint (program state plus
 the communication-state epoch) over a plain socket, and flips the
-registry record; peers converge through the normal conn_nack →
-scheduler-consult ladder. These tests pin the end-to-end paths — restore
+registry record; peers converge through the normal refused-or-unacked
+connect → lookup → redial ladder. These tests pin the end-to-end paths — restore
 from checkpoint, restart from scratch, heartbeat detection of a frozen
 rank, permanent-failure escalation — with exactly-once delivery asserted
 on the surviving receiver.
@@ -153,13 +153,13 @@ def test_recovery_observability_and_metrics():
 
 
 def test_heartbeat_detects_frozen_rank():
-    # SIGSTOP freezes the whole process (program *and* heartbeat thread);
-    # the supervisor must notice the stale beacon, SIGKILL the zombie and
-    # let the exit-code path run the normal recovery
+    # SIGSTOP freezes the whole process (program *and* heartbeat thread,
+    # which beacons every timeout / 10 = 50 ms); the supervisor must
+    # notice the stale beacon, SIGKILL the zombie and let the exit-code
+    # path run the normal recovery
     cluster = MPCluster(
         _relay, nranks=3, obs=True,
-        recovery=RecoverySpec(checkpoint_every=2, heartbeat_every=0.05,
-                              heartbeat_timeout=0.5))
+        recovery=RecoverySpec(checkpoint_every=2, heartbeat_timeout=0.5))
     try:
         cluster.start()
         _wait_for_checkpoint(cluster, 1, 2)
@@ -344,3 +344,61 @@ def test_orphaned_initialized_process_dies_with_its_source(monkeypatch):
         cluster.terminate()
     assert results[1] == list(range(COUNT))
     assert cluster.recovery_report()["restarts"] == 1
+
+
+LONG = 150
+
+
+def _relay_then_crash(api, state):
+    """``_relay`` over a longer paced stream, except that rank 1's second
+    migrated incarnation SIGKILLs itself three poll points in: after the
+    checkpoint of its second poll and after its third poll flushed one
+    more relayed message, which the replacement therefore re-sends."""
+    i = state.get("i", 0)
+    polls = 0
+    if api.rank == 0:
+        while i < LONG:
+            api.send(1, i, tag=i)
+            i += 1
+            state["i"] = i
+            api.compute(0.004)
+            api.poll_migration(state)
+        return {"sent": i}
+    got = state.setdefault("got", [])
+    while i < LONG:
+        body = api.recv(src=api.rank - 1, tag=i).body
+        if api.rank == 1:
+            api.send(2, body, tag=i)
+        else:
+            got.append(body)
+        i += 1
+        state["i"] = i
+        api.poll_migration(state)
+        polls += 1
+        if api.rank == 1 and api.incarnation == 2 and polls == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return {"got": got, "incarnation": api.incarnation}
+
+
+def test_full_store_recovery_after_two_live_migrations():
+    """The full (non-delta) store: rank 1 live-migrates twice, each time
+    shipping the epoch's wrapper, then dies and is restored from disk.
+    The stream stays exactly-once, and the re-sent message is dropped
+    as a duplicate at rank 2."""
+    cluster = MPCluster(_relay_then_crash, nranks=3, obs=True,
+                        recovery=RecoverySpec(checkpoint_every=2))
+    try:
+        cluster.start()
+        for _ in range(2):
+            cluster.migrate(1)
+            cluster.wait_migrations(timeout=30)
+        results = cluster.join(timeout=60)
+        snap = cluster.metrics_snapshot()
+    finally:
+        cluster.terminate()
+    assert results[2]["got"] == list(range(LONG))
+    assert results[1]["incarnation"] == 3  # two migrations, one recovery
+    assert cluster.recovery_report()["restarts"] == 1
+    dups = sum(m["value"] for m in snap
+               if m["name"] == "recovery.dups_dropped")
+    assert dups >= 1

@@ -18,6 +18,7 @@ from repro import Application
 from repro.codec import decode, decode_owned, encode
 from repro.core.endpoint import MigrationEndpoint
 from repro.directory import DirectoryClient, DirectoryPublisher, DirectorySpec
+from repro.recovery import RecoverySpec
 from repro.runtime import (
     DaemonClientConfig,
     DirectoryDaemonHost,
@@ -44,6 +45,11 @@ EXPECTED = {
     # dataclasses: the constructor's parameters are the fields
     DirectorySpec: {"backend", "nodes", "replication"},
     DaemonClientConfig: {"epoch", "node_ids", "addrs", "replication"},
+    # shard supervision and WALs are always on; the supervisor's scan
+    # period, the delta chain bound and the heartbeat cadence
+    # (heartbeat_timeout / 10) are constants
+    RecoverySpec: {"dir", "checkpoint_every", "policy", "heartbeat_timeout",
+                   "delta_checkpoints"},
     # the directory drivers: rounds, backoffs, ticks and timeouts are
     # each driver's module constants, never arguments
     DirectoryClient: {"topology", "peers", "salt"},

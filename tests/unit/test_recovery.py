@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 import os
+import queue
+import threading
+import time
 
 import pytest
 
 from repro.core.checkpointing import CheckpointStore
 from repro.directory.wal import DirectoryWAL
 from repro.recovery import RecoverySpec, RestartPolicy, RestartTracker
-from repro.recovery.spec import WorkerRecoveryConfig
+from repro.runtime.mp import _Worker
 from repro.util.errors import ReproError
 from repro.util.fsio import atomic_write_bytes, crc_frame, iter_crc_frames
 
@@ -70,9 +73,53 @@ def test_recovery_spec_resolve_dir(tmp_path):
     os.rmdir(temp)
 
 
-def test_worker_recovery_config_is_plain_data(tmp_path):
-    cfg = WorkerRecoveryConfig(dir=str(tmp_path), checkpoint_every=3)
-    assert cfg.checkpoint_every == 3 and cfg.heartbeat_every == 0.25
+def test_recovery_spec_defaults():
+    spec = RecoverySpec()
+    assert (spec.dir, spec.checkpoint_every, spec.heartbeat_timeout,
+            spec.delta_checkpoints) == (None, 1, None, False)
+    assert spec.policy == RestartPolicy()
+
+
+# -- the parked worker --------------------------------------------------------
+
+class _ParkedStub:
+    """Just what ``_Worker._park_until_teardown`` touches."""
+
+    def __init__(self):
+        self.inbox: queue.Queue = queue.Queue()
+        self.rank = 1
+        self.flushes = 0
+        self.dispatched: list = []
+
+    def _flush_links(self):
+        self.flushes += 1
+
+    def _dispatch(self, item):
+        if item[0] == "bad":
+            raise ValueError("a bad frame")
+        self.dispatched.append(item)
+
+
+def test_park_blocks_on_the_inbox_and_returns_on_ctl_closed():
+    stub = _ParkedStub()
+    parked = threading.Thread(target=_Worker._park_until_teardown,
+                              args=(stub,), daemon=True)
+    parked.start()
+    # an idle parked worker is blocked, not polling: one flush before
+    # the first wait, none while nothing arrives
+    time.sleep(0.5)
+    assert parked.is_alive() and stub.flushes == 1
+    nudge = ("replay_nudge", 2, None)
+    for item in (nudge, ("bad", 0, None), ("ctl", None, ("closed",)),
+                 ("replay_nudge", 0, None)):
+        stub.inbox.put(item)
+    parked.join(5.0)
+    assert not parked.is_alive()
+    # a failing dispatch is logged, not fatal; nothing after the close
+    # is dispatched
+    assert stub.dispatched == [nudge]
+    assert stub.flushes == 3  # one before each wait on the inbox
+    assert stub.inbox.get_nowait() == ("replay_nudge", 0, None)
 
 
 # -- durable I/O primitives -------------------------------------------------
@@ -348,8 +395,9 @@ def test_delta_max_chain_validation(tmp_path):
         CheckpointStore(tmp_path, delta=True, delta_max_chain=0)
 
 
-def test_worker_recovery_config_delta_fields(tmp_path):
-    cfg = WorkerRecoveryConfig(dir=str(tmp_path), delta_checkpoints=True,
-                               delta_max_chain=4)
-    assert cfg.delta_checkpoints and cfg.delta_max_chain == 4
-    assert WorkerRecoveryConfig(dir=str(tmp_path)).delta_checkpoints is False
+def test_recovery_spec_delta_field_is_the_one_delta_knob(tmp_path):
+    spec = RecoverySpec(dir=str(tmp_path), delta_checkpoints=True)
+    assert spec.delta_checkpoints
+    # chain bound and collection are the store's defaults
+    store = CheckpointStore(tmp_path, delta=spec.delta_checkpoints)
+    assert store.delta and store.delta_max_chain == 8 and store.delta_gc
