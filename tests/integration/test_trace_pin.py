@@ -166,6 +166,68 @@ def _gang() -> list[str]:
     return _lines(vm)
 
 
+def _sharded() -> list[str]:
+    """A migration pair under the ring directory: the scheduler pushes
+    every record write to the shard daemons (a lossy control path
+    duplicates a ``MigrationStart``)."""
+    vm = _vm(FaultPlan.lossy(3, drop=0.05, dup=0.05))
+
+    def program(api, state):
+        if api.rank == 0:
+            seq_stream(api, state, dest=1, count=30, pace=0.002, poll=True)
+        else:
+            seq_check(api, state, src=0, count=30, pace=0.003, poll=True)
+
+    app = hardened_app(vm, program, ["h0", "h1"], seed=3,
+                       directory="sharded")
+    app.start()
+    app.migrate_at(0.02, rank=1, dest_host="h3")
+    app.migrate_at(0.03, rank=0, dest_host="h4")
+    app.run()
+    return _lines(vm)
+
+
+def _serialized() -> list[str]:
+    """``migration_concurrency=1``: a same-rank re-request queues behind
+    the open window, a second rank queues on the cap, and a third
+    request for the first rank coalesces into its queued entry."""
+    vm = _vm()
+    app = Application(vm, _ring_program, placement=["h0", "h1", "h2", "h3"],
+                      scheduler_host="h4", migration_concurrency=1)
+    app.start()
+    app.migrate_at(0.01, rank=1, dest_host="h4")
+    app.migrate_at(0.011, rank=1, dest_host="h5")
+    app.migrate_at(0.011, rank=3, dest_host="h5")
+    app.migrate_at(0.012, rank=1, dest_host="h0")
+    app.run()
+    return _lines(vm)
+
+
+def _finishes_in_window() -> list[str]:
+    """Rank 1 never polls and finishes with its initialized process
+    pending and a second request queued: the ``TerminateNotice``
+    releases the initialized process, drops the queued request and
+    admits rank 0's request from the cap queue."""
+    vm = _vm()
+
+    def program(api, state):
+        if api.rank == 1:
+            api.compute(0.02)
+            return
+        for _ in range(10):
+            api.compute(0.003)
+            api.poll_migration(state)
+
+    app = Application(vm, program, placement=["h0", "h1", "h2"],
+                      scheduler_host="h3", migration_concurrency=1)
+    app.start()
+    app.migrate_at(0.005, rank=1, dest_host="h4")
+    app.migrate_at(0.006, rank=1, dest_host="h5")
+    app.migrate_at(0.006, rank=0, dest_host="h5")
+    app.run()
+    return _lines(vm)
+
+
 SCENARIOS = {
     **{f"determinism-{seed}": (lambda seed=seed: _run_once(seed)[0])
        for seed in (1, 7, 42)},
@@ -177,6 +239,9 @@ SCENARIOS = {
     "burst-into-migration": _burst,
     "drain-abort-retry": _drain_abort,
     "gang": _gang,
+    "sharded-directory": _sharded,
+    "serialized-requeue": _serialized,
+    "finishes-in-window": _finishes_in_window,
 }
 
 _traces: dict[str, list[str]] = {}
@@ -204,9 +269,12 @@ def test_sim_trace_matches_pinned_digest(name):
 @pytest.mark.parametrize("needle", [
     " peer_coordinated ", " simultaneous_coordination ",
     " drain_peer_done ", " migration_abort ", "what=migration_drain",
+    " dir_update_applied ", "verdict=coalesced", " migration_dequeued ",
+    "reason=rank-terminated",
 ])
 def test_pinned_scenarios_reach_the_drain(needle):
-    """The pin is not vacuous: the scenarios drive the drain's rules.
+    """The pin is not vacuous: the scenarios drive the drain's rules,
+    the scheduler's directory pushes and its admission queue.
     (An endpoint-level ``conn_req_rejected`` needs a request to land in
     the mailbox at the very instant of the ``NewProcessReply``; the
     daemon nacks every later one, so no seeded scenario here reaches
