@@ -51,9 +51,6 @@ class GlobalSnapshot:
     def complete(self) -> bool:
         return bool(self.process_states)
 
-    def in_flight_count(self) -> int:
-        return sum(len(v) for v in self.channel_states.values())
-
 
 class SnapshotRecorder:
     """Per-process snapshot logic, embedded into a :class:`RawPeer` app.

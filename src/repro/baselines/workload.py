@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.baselines.common import RawPeer, ring_neighbours
-from repro.vm.ids import VmId
 from repro.vm.messages import ControlEnvelope
 from repro.vm.process import ProcessContext
 from repro.vm.virtual_machine import VirtualMachine
@@ -147,6 +146,3 @@ class RingHarness:
                 f"rank {r}: stream corrupted "
                 f"(got {len(got)} messages, first diff at "
                 f"{next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), '?')})")
-
-    def worker_vmid(self, rank: int) -> VmId:
-        return self._ctxs[rank].vmid

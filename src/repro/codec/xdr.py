@@ -141,19 +141,6 @@ class Writer:
         self._parts.append(data)
         self._nbytes += n
 
-    def raw_buffer(self, buf: memoryview) -> None:
-        """Length-prefixed append of a C-contiguous buffer, zero copy.
-
-        The view itself goes into the part list — the exporter (e.g. a
-        numpy array created for byte-order conversion) stays pinned until
-        :meth:`getvalue`. The caller guarantees the buffer is not mutated
-        while this writer is alive.
-        """
-        n = buf.nbytes
-        self.varint(n)
-        self._parts.append(buf)
-        self._nbytes += n
-
     def put_buffer(self, buf: memoryview) -> None:
         """Append a C-contiguous buffer with no length prefix, zero copy.
 

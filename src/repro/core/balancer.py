@@ -37,9 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.launch import Application
-from repro.core.messages import MigrateRequest
-from repro.vm.ids import Rank, VmId
-from repro.vm.messages import ControlEnvelope
+from repro.vm.ids import Rank
 
 __all__ = ["LoadBalancer", "BalancerDecision"]
 
@@ -177,9 +175,7 @@ class LoadBalancer:
                                      rate=round(rates[straggler], 3),
                                      median=round(median, 3),
                                      batch=len(moves))
-            self.app._scheduler_ctx.mailbox.put(ControlEnvelope(
-                src_vmid=VmId("balancer", 0),
-                msg=MigrateRequest(rank=straggler, dest_host=dest)))
+            self.app._request_migration(straggler, dest, src="balancer")
 
     def _wait_shares(self, window: float) -> dict[Rank, float]:
         """Fraction of the window each rank spent inside blocking

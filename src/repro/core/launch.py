@@ -20,6 +20,8 @@ from repro.core.messages import MigrateRequest
 from repro.core.migration import run_initialization
 from repro.core.pltable import PLTable
 from repro.core.scheduler import SchedulerState, scheduler_main
+from repro.core.windows import Windows
+from repro.directory.base import CentralizedDirectory
 from repro.directory.daemons import DirectoryCluster
 from repro.directory.spec import DirectorySpec
 from repro.util.errors import ProtocolError
@@ -164,8 +166,10 @@ class Application:
         master_pl = PLTable()
         self.scheduler_state = SchedulerState(
             pl=master_pl, spawn_initialized=self._spawn_initialized,
-            migration_retry_limit=self.migration_retry_limit,
-            admission=GangAdmission(concurrency=self.migration_concurrency))
+            windows=Windows(
+                CentralizedDirectory(pl=master_pl),
+                GangAdmission(concurrency=self.migration_concurrency),
+                retry_limit=self.migration_retry_limit))
         self._scheduler_ctx = vm.spawn(
             self.scheduler_host, scheduler_main, self.scheduler_state,
             name="scheduler", daemon=True)
@@ -176,7 +180,7 @@ class Application:
         for rank, host in enumerate(self.placement):
             ctx = vm.spawn(host, self._rank_main, rank, name=f"p{rank}",
                            rank=rank)
-            self.scheduler_state.directory.install(rank, ctx.vmid)
+            self.scheduler_state.windows.install(rank, ctx.vmid)
             ctxs.append(ctx)
 
         if self.directory_spec.distributed:
@@ -195,22 +199,30 @@ class Application:
             return None
         return self.directory_cluster.make_client(rank)
 
-    def _rank_main(self, ctx, rank: Rank) -> None:
+    def _endpoint(self, ctx, rank: Rank, pl: PLTable,
+                  **kwargs: Any) -> MigrationEndpoint:
+        """The endpoint of *rank*'s incarnation running in *ctx*."""
         endpoint = MigrationEndpoint(
-            ctx, rank, self._scheduler_ctx.vmid,
-            self.scheduler_state.pl.copy(),
+            ctx, rank, self._scheduler_ctx.vmid, pl,
             arch=self.arch_for(ctx.host),
-            migration_enabled=self.migratable,
-            transport=self.transport,
             retry_policy=self.retry,
             drain_timeout=self.drain_timeout,
             directory_client=self._directory_client(rank),
             chunk_bytes=self.chunk_bytes,
-            bandwidth_budget=self.bandwidth_budget_for(ctx.host))
+            bandwidth_budget=self.bandwidth_budget_for(ctx.host), **kwargs)
         self.endpoints[rank] = endpoint
         self.all_endpoints.append(endpoint)
-        api = SnowAPI(endpoint, self.nranks,
-                      checkpoint_store=self.checkpoint_store)
+        return endpoint
+
+    def _run(self, endpoint: MigrationEndpoint, state: dict) -> None:
+        self.program(SnowAPI(endpoint, self.nranks,
+                             checkpoint_store=self.checkpoint_store), state)
+        endpoint.shutdown()
+
+    def _rank_main(self, ctx, rank: Rank) -> None:
+        endpoint = self._endpoint(ctx, rank, self.scheduler_state.pl.copy(),
+                                  migration_enabled=self.migratable,
+                                  transport=self.transport)
         if self.restore_version is not None:
             from repro.core.checkpointing import restore_state
             t0 = self.vm.kernel.now
@@ -227,63 +239,40 @@ class Application:
                                  trace_id=rec_tid)
         else:
             state = {}
-        self.program(api, state)
-        endpoint.shutdown()
+        self._run(endpoint, state)
 
     def _spawn_initialized(self, rank: Rank, dest_host: str) -> VmId:
         """Process initialization on the destination (scheduler callback)."""
         inc = self._incarnation.get(rank, 0) + 1
         self._incarnation[rank] = inc
-        # The scheduler appended (and trace-id-stamped) the migration
-        # record before invoking this callback; hand the id to the
-        # initialized process so its restore/commit spans stitch into
-        # the same trace as the source's phases.
-        try:
-            trace_id = self.scheduler_state.current_record(rank).trace_id
-        except LookupError:
-            trace_id = None
+        # The scheduler opened (and trace-id-stamped) the window before
+        # invoking this callback; hand the id to the initialized process
+        # so its restore/commit spans stitch into the same trace as the
+        # source's phases.
+        trace_id = self.scheduler_state.windows.current(rank).trace_id
         ctx = self.vm.spawn(dest_host, self._init_main, rank, trace_id,
                             name=f"p{rank}.m{inc}", rank=rank)
         return ctx.vmid
 
     def _init_main(self, ctx, rank: Rank,
                    trace_id: str | None = None) -> None:
-        endpoint = MigrationEndpoint(
-            ctx, rank, self._scheduler_ctx.vmid, PLTable(),
-            arch=self.arch_for(ctx.host),
-            migration_enabled=True, initializing=True,
-            retry_policy=self.retry,
-            drain_timeout=self.drain_timeout,
-            directory_client=self._directory_client(rank),
-            chunk_bytes=self.chunk_bytes,
-            bandwidth_budget=self.bandwidth_budget_for(ctx.host),
-            trace_id=trace_id)
-        self.endpoints[rank] = endpoint
-        self.all_endpoints.append(endpoint)
-        state = run_initialization(endpoint)
-        api = SnowAPI(endpoint, self.nranks,
-                      checkpoint_store=self.checkpoint_store)
-        self.program(api, state)
-        endpoint.shutdown()
+        endpoint = self._endpoint(ctx, rank, PLTable(),
+                                  migration_enabled=True, initializing=True,
+                                  trace_id=trace_id)
+        self._run(endpoint, run_initialization(endpoint))
 
     # -- user operations ---------------------------------------------------
+    def _request_migration(self, rank: Rank, dest_host: str,
+                          src: str = "user") -> None:
+        """Deliver one out-of-band migration request to the scheduler
+        now (Section 2.2); *src* names the requester."""
+        self._scheduler_ctx.mailbox.put(ControlEnvelope(
+            src_vmid=VmId(src, 0),
+            msg=MigrateRequest(rank=rank, dest_host=dest_host)))
+
     def migrate_at(self, when: float, rank: Rank, dest_host: str) -> None:
-        """Schedule a user migration request at virtual time *when*.
-
-        Models the out-of-band user → scheduler request of Section 2.2.
-        """
-        if not self.migratable:
-            raise ProtocolError(
-                "cannot migrate an application launched with migratable=False")
-
-        def inject() -> None:
-            self._scheduler_ctx.mailbox.put(ControlEnvelope(
-                src_vmid=VmId("user", 0),
-                msg=MigrateRequest(rank=rank, dest_host=dest_host)))
-
-        if not self._started:
-            raise ProtocolError("start() the application first")
-        self.vm.kernel.call_at(when, inject)
+        """Schedule a user migration request at virtual time *when*."""
+        self.migrate_many(when, [(rank, dest_host)])
 
     def migrate_many(self, when: float,
                      moves: "list[tuple[Rank, str]]") -> None:
@@ -303,9 +292,7 @@ class Application:
 
         def inject() -> None:
             for rank, dest_host in moves:
-                self._scheduler_ctx.mailbox.put(ControlEnvelope(
-                    src_vmid=VmId("user", 0),
-                    msg=MigrateRequest(rank=rank, dest_host=dest_host)))
+                self._request_migration(rank, dest_host)
 
         self.vm.kernel.call_at(when, inject)
 
@@ -339,9 +326,7 @@ class Application:
 
         def check() -> None:
             if matched():
-                self._scheduler_ctx.mailbox.put(ControlEnvelope(
-                    src_vmid=VmId("user", 0),
-                    msg=MigrateRequest(rank=rank, dest_host=dest_host)))
+                self._request_migration(rank, dest_host)
             else:
                 self.vm.kernel.call_later(poll_interval, check)
 
@@ -358,10 +343,6 @@ class Application:
     @property
     def migrations(self):
         return self.scheduler_state.migrations if self.scheduler_state else []
-
-    def total_comm_time(self) -> float:
-        """Time spent in snow_send/snow_recv, summed over all incarnations."""
-        return sum(ep.stats.comm_time for ep in self.all_endpoints)
 
     def total_messages(self) -> int:
         return sum(ep.stats.messages_sent for ep in self.all_endpoints)

@@ -7,7 +7,7 @@ Chord-style)" because the communication-state-transfer protocol depends
 only on the **lookup contract** — a stale belief is corrected by one
 rejected connect plus one lookup — and not on the directory's internal
 structure. This package makes that observation executable, with two
-backends behind one :class:`DirectoryService` contract:
+backends behind that one contract:
 
 * ``centralized`` — the paper's configuration, the scheduler's own master
   PL table (the default);
@@ -26,7 +26,6 @@ from repro.directory.base import (
     STATUS_TERMINATED,
     STATUS_UNKNOWN,
     CentralizedDirectory,
-    DirectoryService,
     LocationRecord,
     stable_hash,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "DirectoryClient",
     "DirectoryCluster",
     "DirectoryPublisher",
-    "DirectoryService",
     "DirectorySpec",
     "HashRing",
     "LocationCache",

@@ -14,7 +14,7 @@ never corrupt it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.pltable import PLTable
@@ -24,9 +24,9 @@ __all__ = [
     "STATUS_RUNNING",
     "STATUS_MIGRATING",
     "STATUS_TERMINATED",
+    "STATUS_FAILED",
     "STATUS_UNKNOWN",
     "LocationRecord",
-    "DirectoryService",
     "CentralizedDirectory",
     "stable_hash",
 ]
@@ -38,6 +38,8 @@ __all__ = [
 STATUS_RUNNING = "running"
 STATUS_MIGRATING = "migrating"
 STATUS_TERMINATED = "terminated"
+#: mp recovery: the rank's process died and a replacement is on its way
+STATUS_FAILED = "failed"
 STATUS_UNKNOWN = "unknown"
 
 
@@ -61,72 +63,29 @@ class LocationRecord:
     def newer_than(self, other: "LocationRecord | None") -> bool:
         return other is None or self.version > other.version
 
-    def with_version(self, version: int) -> "LocationRecord":
-        return replace(self, version=version)
-
-
-class DirectoryService:
-    """The location-directory contract (lookup / install / commit).
-
-    The correctness proofs of the paper lean only on this interface: a
-    lookup may return a *stale* location (the requester discovers that via
-    a rejected connect and retries), but a lookup issued after a
-    migration committed must *eventually* return the committed vmid.
-    Both backends — centralized table, consistent-hash shards — satisfy
-    that contract; nothing above this interface can tell them apart
-    except in cost.
-    """
-
-    backend = "abstract"
-
-    def lookup(self, rank: Rank) -> LocationRecord | None:
-        raise NotImplementedError
-
-    def install(self, rank: Rank, vmid: VmId) -> LocationRecord:
-        """Rank begins (or resumes) running at *vmid*."""
-        raise NotImplementedError
-
-    def designate_init(self, rank: Rank, init_vmid: VmId) -> LocationRecord:
-        """An initialized process has been spawned for *rank*."""
-        raise NotImplementedError
-
-    def begin_migration(self, rank: Rank) -> LocationRecord:
-        """Rank entered the MIGRATING state (lookups redirect to init)."""
-        raise NotImplementedError
-
-    def commit_migration(self, rank: Rank, new_vmid: VmId) -> LocationRecord:
-        """Restore completed: *rank* now lives at *new_vmid*."""
-        raise NotImplementedError
-
-    def abort_migration(self, rank: Rank) -> LocationRecord:
-        """The migration attempt is off; rank keeps its old location."""
-        raise NotImplementedError
-
-    def terminate(self, rank: Rank) -> LocationRecord:
-        raise NotImplementedError
-
-    def snapshot(self) -> dict[Rank, VmId]:
-        raise NotImplementedError
-
 
 @dataclass
-class CentralizedDirectory(DirectoryService):
-    """The paper's backend: the scheduler's own master PL table.
+class CentralizedDirectory:
+    """The scheduler's authoritative records over its master PL table.
 
     Wraps (and stays live-coupled to) the :class:`PLTable` the scheduler
-    already owns, adding the status / init bookkeeping that used to live
-    as bare dicts on :class:`~repro.core.scheduler.SchedulerState`, plus
-    the version counter the distributed backends publish with. With no
-    publisher attached this is exactly the seed's behaviour: one
-    authoritative table, zero extra messages.
+    already owns, adding each rank's status, its designated initialized
+    process and the one version counter every published record carries
+    (the scheduler machine, :class:`repro.core.windows.Windows`, is its
+    only writer). With no publisher attached this is exactly the seed's
+    behaviour: one authoritative table, zero extra messages.
+
+    The lookup contract the paper's proofs lean on: a lookup may return
+    a *stale* location (the requester discovers that via a rejected
+    connect and retries), but a lookup issued after a migration
+    committed must *eventually* return the committed vmid. The
+    centralized table and the consistent-hash shards both satisfy it.
     """
 
     pl: PLTable = field(default_factory=PLTable)
     status: dict[Rank, str] = field(default_factory=dict)
     init_vmid: dict[Rank, VmId] = field(default_factory=dict)
     versions: dict[Rank, int] = field(default_factory=dict)
-
-    backend = "centralized"
 
     # -- reads ---------------------------------------------------------------
     def lookup(self, rank: Rank) -> LocationRecord | None:
@@ -141,9 +100,6 @@ class CentralizedDirectory(DirectoryService):
             rank=rank, status=self.status.get(rank, STATUS_TERMINATED),
             vmid=vmid, init_vmid=self.init_vmid.get(rank),
             version=self.versions.get(rank, 0))
-
-    def snapshot(self) -> dict[Rank, VmId]:
-        return self.pl.snapshot()
 
     def ranks(self) -> Iterable[Rank]:
         return sorted(self.status)
@@ -185,6 +141,13 @@ class CentralizedDirectory(DirectoryService):
 
     def terminate(self, rank: Rank) -> LocationRecord:
         self.status[rank] = STATUS_TERMINATED
+        self.init_vmid.pop(rank, None)
+        self._bump(rank)
+        return self.record(rank)
+
+    def fail(self, rank: Rank) -> LocationRecord:
+        """The rank's process died; its last address stays published."""
+        self.status[rank] = STATUS_FAILED
         self.init_vmid.pop(rank, None)
         self._bump(rank)
         return self.record(rank)

@@ -437,21 +437,15 @@ class DirectoryDaemonHost:
         return newly
 
     # -- write path (the registry is the single writer) --------------------
-    def publish(self, rank: int, status: str, addr: tuple | None,
-                init_addr: tuple | None) -> None:
-        """Version-stamp *rank*'s record and enqueue it for its owners.
+    def publish(self, rec: LocationRecord) -> None:
+        """Enqueue the registry's versioned record for its owners.
 
         Never blocks on a socket: the publisher thread sends and
         retransmits until each owner acks.
         """
         with self._cond:
-            cur = self._records.get(rank)
-            rec = LocationRecord(
-                rank, status, tuple(addr) if addr else None,
-                tuple(init_addr) if init_addr else None,
-                (cur.version if cur is not None else 0) + 1)
-            self._records[rank] = rec
-            sent = self.publisher.publish(rec, self.topology.owners(rank))
+            self._records[rec.rank] = rec
+            sent = self.publisher.publish(rec, self.topology.owners(rec.rank))
             self._c_publishes.inc(len(sent))
             self._cond.notify_all()
 

@@ -122,10 +122,6 @@ class ProcessContext:
         if self._sig_mask == 0:
             self.check_signals()
 
-    @property
-    def signals_held(self) -> bool:
-        return self._sig_mask > 0
-
     def check_signals(self) -> None:
         """Run handlers for pending signals if unmasked.
 

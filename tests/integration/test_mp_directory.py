@@ -31,6 +31,7 @@ import time
 import pytest
 
 from repro.core.messages import LookupReply
+from repro.directory.base import LocationRecord
 from repro.directory.hashring import HashRing
 from repro.directory.messages import DirLookup, DirUpdate, DirUpdateAck
 from repro.directory.shard import ShardNode
@@ -323,7 +324,8 @@ def test_restarted_daemon_serves_after_reseed():
     host = DirectoryDaemonHost(spec)
     try:
         for r in range(12):
-            host.publish(r, "running", ("127.0.0.1", 9400 + r), None)
+            host.publish(LocationRecord(r, "running", ("127.0.0.1", 9400 + r),
+                                        version=1))
         assert host.flush(5.0)
         victim = host.topology.primary(RANK)
         host.kill(victim)
@@ -351,7 +353,8 @@ def test_restart_reseed_keeps_a_publish_that_races_it(monkeypatch):
     spec = DirectorySpec(backend="sharded", nodes=3, replication=1)
     host = DirectoryDaemonHost(spec)
     try:
-        host.publish(RANK, "running", ("127.0.0.1", 9600), None)
+        host.publish(LocationRecord(RANK, "running", ("127.0.0.1", 9600),
+                                    version=1))
         assert host.flush(5.0)
         victim = host.topology.primary(RANK)
         host.kill(victim)
@@ -360,7 +363,8 @@ def test_restart_reseed_keeps_a_publish_that_races_it(monkeypatch):
 
         def racing_bind(addr):
             before = retransmits.value
-            host.publish(RANK, "running", ("127.0.0.1", 9601), None)
+            host.publish(LocationRecord(RANK, "running",
+                                        ("127.0.0.1", 9601), version=2))
             # wait for the publisher to fail it on the closed port; it
             # then sleeps out the tick across the rest of the restart
             deadline = time.time() + 5.0

@@ -143,8 +143,7 @@ def test_silent_dialer_cannot_park_the_accept_thread():
     cluster = MPCluster(_gated_stream(go), nranks=2)
     try:
         cluster.start()
-        with cluster.registry._lock:
-            addr = cluster.registry.locations[1]
+        addr = cluster.registry.record(1).vmid
         # connects ahead of rank 0 and never sends its hello
         with socket.create_connection(addr, timeout=10.0) as silent:
             go.set()

@@ -141,8 +141,9 @@ def _spawn_init(registry):
                        args=(1, 2, registry.addr, _never_runs, NATIVE, 1),
                        daemon=True)
     proc.start()
-    assert registry.wait_for(lambda: 1 in registry.init_addr, 10.0)
-    return proc, registry.init_addr[1]
+    init = registry.windows.directory.init_vmid
+    assert registry.wait_for(lambda: 1 in init, 10.0)
+    return proc, init[1]
 
 
 def test_truncated_transfer_fails_at_once_and_frees_the_listener(capfd):

@@ -313,8 +313,7 @@ def test_orphaned_initialized_process_dies_with_its_source(monkeypatch):
     signal_migrate = mp_mod._Registry.signal_migrate
 
     def recording_signal(self, rank, *args):
-        with self._lock:
-            orphan_addr.append(self.init_addr[rank])
+        orphan_addr.append(self.record(rank).init_vmid)
         return signal_migrate(self, rank, *args)
 
     monkeypatch.setattr(mp_mod._Registry, "signal_migrate", recording_signal)

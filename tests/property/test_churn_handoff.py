@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.directory.base import LocationRecord
 from repro.directory.hashring import HashRing
 from repro.directory.spec import DirectorySpec
 from repro.runtime.mp_directory import DirectoryDaemonHost, plan_handoff
@@ -169,7 +170,8 @@ def test_real_daemon_churn_matches_the_plan():
     host = DirectoryDaemonHost(spec)
     try:
         for r in range(16):
-            host.publish(r, "running", ("127.0.0.1", 9500 + r), None)
+            host.publish(LocationRecord(r, "running", ("127.0.0.1", 9500 + r),
+                                        version=1))
         assert host.flush(5.0)
 
         changes = [host.join(), host.join()]

@@ -92,10 +92,9 @@ def _wait_window_open(cluster, rank, timeout=30.0) -> str:
     open and its causal trace id minted."""
     deadline = time.time() + timeout
     while time.time() < deadline:
-        with cluster.registry._lock:
-            tid = cluster.registry._mig_trace.get(rank)
-        if tid is not None:
-            return tid
+        window = cluster.registry.windows.current(rank)
+        if window is not None and window.trace_id is not None:
+            return window.trace_id
         time.sleep(0.002)
     raise AssertionError(f"rank {rank}: migration window never opened")
 

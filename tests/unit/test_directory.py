@@ -95,7 +95,6 @@ def test_record_version_ordering():
     assert not old.newer_than(new)
     assert not old.newer_than(old)  # equal versions: not newer (idempotent)
     assert old.newer_than(None)
-    assert old.with_version(9).version == 9
 
 
 # ------------------------------------------------------ CentralizedDirectory

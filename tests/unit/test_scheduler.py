@@ -94,7 +94,7 @@ def test_migrate_request_spawns_and_signals(env):
     vm.run()
     assert spawned == [(0, "h1", VmId("h1", 99))]
     assert signals == ["got"]
-    assert state.init_vmid[0] == VmId("h1", 99)
+    assert state.directory.init_vmid[0] == VmId("h1", 99)
     assert len(state.migrations) == 1
 
 
@@ -161,7 +161,7 @@ def test_distinct_rank_windows_overlap(env):
     assert sorted(r for r, _, _ in spawned) == [0, 1]
     assert len(state.migrations) == 2
     # both windows are simultaneously open: no commit ever arrived
-    assert sorted(state.admission.inflight) == [0, 1]
+    assert sorted(state.windows.admission.inflight) == [0, 1]
     assert not any(e.kind == "migration_queued" for e in vm.trace.events)
 
 
@@ -169,7 +169,7 @@ def test_concurrency_cap_queues_then_dispatches_on_commit(env):
     """concurrency=1: the second rank's request parks in the admission
     queue and opens only when the first window commits."""
     vm, pl, state, sched, spawned = env
-    state.admission = GangAdmission(concurrency=1)
+    state.windows.admission = GangAdmission(concurrency=1)
 
     def probe(ctx):
         ctx.compute(0.01)
@@ -205,7 +205,7 @@ def test_queued_request_dropped_when_rank_stops_running(env):
     """A rank that stops running while parked in the admission queue is
     dropped at dispatch instead of opening a dead window."""
     vm, pl, state, sched, spawned = env
-    state.admission = GangAdmission(concurrency=1)
+    state.windows.admission = GangAdmission(concurrency=1)
 
     def probe(ctx):
         ctx.compute(0.01)
@@ -226,7 +226,8 @@ def test_queued_request_dropped_when_rank_stops_running(env):
     ignored = [e for e in vm.trace.events
                if e.kind == "migrate_request_ignored"]
     assert any(e.detail["rank"] == 1 for e in ignored)
-    assert not state.admission.inflight and not state.admission.pending
+    admission = state.windows.admission
+    assert not admission.inflight and not admission.pending
 
 
 def test_duplicate_commit_does_not_close_queued_same_rank_window(env):
@@ -258,8 +259,8 @@ def test_duplicate_commit_does_not_close_queued_same_rank_window(env):
     vm.run()
     first, second = state.migrations
     assert first.completed and not second.completed
-    assert state.current_record(0) is second
-    assert list(state.admission.inflight) == [0]
+    assert state.windows.current(0) is second
+    assert list(state.windows.admission.inflight) == [0]
     assert sum(e.kind == "migration_committed"
                for e in vm.trace.events) == 1
     assert any(e.kind == "scheduler_dup_reack" for e in vm.trace.events)
@@ -291,6 +292,5 @@ def test_current_record_skips_closed_and_aborted():
     aborted = MigrationRecord(rank=0, dest_host="b", aborted=True)
     open_rec = MigrationRecord(rank=0, dest_host="c")
     state.migrations.extend([done, aborted, open_rec])
-    assert state.current_record(0) is open_rec
-    with pytest.raises(LookupError):
-        state.current_record(5)
+    assert state.windows.current(0) is open_rec
+    assert state.windows.current(5) is None
