@@ -20,7 +20,7 @@ machine-checkable content.
 
 from __future__ import annotations
 
-from repro.analysis import render_spacetime
+from repro.analysis import events_from_trace, render_spacetime
 from repro.experiments import run_mg_homogeneous
 
 _cache: dict[str, object] = {}
@@ -41,7 +41,7 @@ def test_fig10_diagram(benchmark, grid_n):
     print()
     print(f"FIG-10  kernel MG migration space-time (n={grid_n}, "
           "8 processes) — paper Figures 10-12")
-    print(render_spacetime(trace, actors=actors,
+    print(render_spacetime(events_from_trace(trace), actors=actors,
                            t0=max(0.0, b.t_start - pad),
                            t1=b.t_commit + pad, width=100))
 

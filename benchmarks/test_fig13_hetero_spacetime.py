@@ -12,7 +12,7 @@ of the initialized process's receive-message-list").
 
 from __future__ import annotations
 
-from repro.analysis import render_spacetime
+from repro.analysis import events_from_trace, render_spacetime
 from repro.experiments import run_mg_heterogeneous
 
 _cache: dict[str, object] = {}
@@ -32,7 +32,7 @@ def test_fig13_diagram(benchmark, grid_n):
     print()
     print(f"FIG-13  heterogeneous migration space-time (n={grid_n}; "
           "p0 on the DEC 5000/120, migrating to an idle Ultra 5)")
-    print(render_spacetime(res.vm.trace, actors=actors,
+    print(render_spacetime(events_from_trace(res.vm.trace), actors=actors,
                            t0=max(0.0, b.t_start - pad),
                            t1=b.t_commit + pad, width=100))
 

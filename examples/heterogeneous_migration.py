@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 
-from repro.analysis import render_spacetime
+from repro.analysis import events_from_trace, render_spacetime
 from repro.experiments import run_mg_heterogeneous
 
 
@@ -48,7 +48,7 @@ def main() -> None:
     print("\nspace-time diagram — cf. Figure 13:")
     pad = 1.2 * (b.t_commit - b.t_start)
     actors = [f"p{i}" for i in range(8)] + ["p0.m1"]
-    print(render_spacetime(res.vm.trace, actors=actors,
+    print(render_spacetime(events_from_trace(res.vm.trace), actors=actors,
                            t0=max(0.0, b.t_start - pad),
                            t1=b.t_commit + pad, width=100))
     res.vm.shutdown()

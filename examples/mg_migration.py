@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from repro.analysis import render_spacetime
+from repro.analysis import events_from_trace, render_spacetime
 from repro.experiments import run_mg_homogeneous
 from repro.util.text import format_table
 
@@ -45,7 +45,7 @@ def main() -> None:
     print("\nspace-time diagram around the migration — cf. Figures 10-12:")
     pad = 2.5 * (b.t_commit - b.t_start)
     actors = [f"p{i}" for i in range(8)] + ["p0.m1"]
-    print(render_spacetime(mig.vm.trace, actors=actors,
+    print(render_spacetime(events_from_trace(mig.vm.trace), actors=actors,
                            t0=max(0.0, b.t_start - pad),
                            t1=b.t_commit + pad, width=100))
     for r in runs.values():

@@ -22,15 +22,16 @@ from repro.analysis.obs import (
 )
 from repro.analysis.persist import dumps_trace, load_trace, loads_trace, save_trace
 from repro.analysis.report import RunReport, run_report
-from repro.analysis.spacetime import MessageFlight, message_flights, render_spacetime
-from repro.analysis.spacetime_svg import (
+from repro.analysis.spacetime import (
     lane_of,
     obs_flights,
     phase_bars,
+    render_spacetime,
+)
+from repro.analysis.spacetime_svg import (
     render_obs_spacetime_svg,
     save_obs_spacetime_svg,
 )
-from repro.analysis.svg import render_spacetime_svg, save_spacetime_svg
 from repro.analysis.traffic import LinkTraffic, TrafficReport, traffic_report
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "InvariantViolation",
     "check_invariants",
     "LinkTraffic",
-    "MessageFlight",
     "RunReport",
     "TrafficReport",
     "chunk_throughput",
@@ -58,14 +58,11 @@ __all__ = [
     "MigrationBreakdown",
     "app_progress_events",
     "makespan",
-    "message_flights",
     "migration_breakdown",
     "lane_of",
     "obs_flights",
     "phase_bars",
     "render_obs_spacetime_svg",
     "render_spacetime",
-    "render_spacetime_svg",
     "save_obs_spacetime_svg",
-    "save_spacetime_svg",
 ]

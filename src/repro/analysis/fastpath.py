@@ -4,8 +4,6 @@ The perf counterpart of :mod:`repro.analysis.metrics`: each helper runs
 (or reads) a seeded workload whose migrating rank carries an
 ndarray-bearing state of a chosen size —
 
-* :func:`migration_latency` — virtual-time ``migration_start`` →
-  ``migration_commit`` window from a run's trace;
 * :func:`measure_migration` — one 2-rank run, returning the latency and
   a digest of the restored payload, across chunk-size policies and link
   speeds (the adaptive-vs-fixed sweep);
@@ -22,32 +20,10 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["migration_latency", "measure_migration",
-           "measure_gang_migration", "numpy_state"]
+__all__ = ["measure_migration", "measure_gang_migration", "numpy_state"]
 
 #: ping-pong rounds of the single-migration workload
 _ROUNDS = 24
-
-
-# ---------------------------------------------------------------------------
-# trace analysis
-# ---------------------------------------------------------------------------
-
-def migration_latency(vm, rank=None) -> float:
-    """End-to-end latency of the (first) migration of *rank*, in virtual
-    seconds: source-side ``migration_start`` to destination-side
-    ``migration_commit``."""
-    start = commit = None
-    for ev in vm.trace.events:
-        if rank is not None and ev.detail.get("rank") != rank:
-            continue
-        if ev.kind == "migration_start" and start is None:
-            start = ev.time
-        elif ev.kind == "migration_commit" and commit is None:
-            commit = ev.time
-    if start is None or commit is None:
-        raise ValueError("trace holds no completed migration")
-    return commit - start
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +117,10 @@ def measure_migration(nbytes: int, migrate_at: float = 4e-3,
     app.run()
     assert len(digests) == 2 and digests[0] == digests[1], \
         "payload changed across the migration"
+    t_start, t_commit = _migration_windows(vm)[1]
     out = {
         "nbytes": nbytes,
-        "latency": migration_latency(vm, rank=1),
+        "latency": t_commit - t_start,
         "makespan": vm.kernel.now,
         "digest": digests[-1],
     }
@@ -194,7 +171,9 @@ def _gang_program(nbytes: int, digests: dict, rounds: int):
 
 
 def _migration_windows(vm) -> dict:
-    """rank -> (migration_start time, migration_commit time) per rank."""
+    """rank -> (first ``migration_start``, the first ``migration_commit``
+    after it) in virtual seconds, for every rank whose migration
+    committed."""
     wins: dict = {}
     for ev in vm.trace.events:
         rank = ev.detail.get("rank")

@@ -76,20 +76,27 @@ def load_obs_events(path: str | Path, strict: bool = True) -> list[dict]:
     return events
 
 
+#: Sim trace kinds renamed on the lift: the application's messages
+#: become the obs ``send`` / ``recv`` records.
+_LIFTED_KINDS = {"snow_send": "send", "snow_recv": "recv"}
+
+
 def events_from_trace(trace) -> list[dict]:
     """Lift a simulator :class:`~repro.sim.trace.Trace` into obs records.
 
     Only events whose kind is in the obs vocabulary survive (the sim
     trace also carries protocol events like ``conn_req`` that the obs
-    report does not key on); ``ts`` is the virtual-time stamp.
+    report does not key on), plus ``snow_send`` / ``snow_recv`` lifted
+    as ``send`` / ``recv``; ``ts`` is the virtual-time stamp.
     """
     from repro.obs.events import EVENT_KINDS
 
     out = []
     for ev in trace.events:
-        if ev.kind not in EVENT_KINDS:
+        kind = _LIFTED_KINDS.get(ev.kind, ev.kind)
+        if kind not in EVENT_KINDS:
             continue
-        rec = {"ts": ev.time, "actor": ev.actor, "kind": ev.kind}
+        rec = {"ts": ev.time, "actor": ev.actor, "kind": kind}
         rec.update(ev.detail)
         if validate_record(rec) is None:
             out.append(rec)

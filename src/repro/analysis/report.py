@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.metrics import MigrationBreakdown, migration_breakdown
+from repro.analysis.metrics import (
+    MigrationBreakdown,
+    makespan,
+    migration_breakdown,
+)
 from repro.core.launch import Application
 from repro.util.text import format_seconds, format_size, format_table
 
@@ -106,13 +110,9 @@ def run_report(app: Application) -> RunReport:
 
     exec_actors = [f"p{r}" for r in per_rank] + \
         [ep.ctx.name for ep in app.all_endpoints]
-    end = 0.0
-    for ev in trace.filter(kind="process_exited"):
-        if ev.actor in exec_actors:
-            end = max(end, ev.time)
 
     return RunReport(
-        execution=end,
+        execution=makespan(trace, exec_actors),
         nranks=app.nranks,
         per_rank=per_rank,
         pair_messages=pair,

@@ -1,16 +1,18 @@
 """SVG space-time rendering of observability event streams.
 
-:mod:`repro.analysis.svg` draws the XPVM-style diagram straight from a
-simulator :class:`~repro.sim.trace.Trace`; this module renders the same
-visual language from *obs event dicts* — the merged JSONL artifact an
-:class:`~repro.runtime.mp.MPCluster` run writes, or a simulator trace
-lifted with :func:`repro.analysis.obs.events_from_trace`. One lane per
-rank (the registry gets its own), the frozen migration phases as
-colored bars (source incarnation above the timeline, destination below,
-so overlapping transfer/restore windows stay visible), the
-registry-observed migration windows as shaded bands, and sampled
-send/recv events as ticks with diagonal flight lines where a matching
-pair exists.
+The graphical XPVM view of both runtimes, drawn from *obs event dicts* —
+the merged JSONL artifact an :class:`~repro.runtime.mp.MPCluster` run
+writes, or a simulator trace lifted with
+:func:`repro.analysis.obs.events_from_trace`. One lane per rank (the
+registry gets its own), the frozen migration phases as colored bars
+(source incarnation above the timeline, destination below, so
+overlapping transfer/restore windows stay visible; an aborted attempt's
+bars dashed), the registry-observed migration windows as shaded bands,
+and send/recv events as ticks with diagonal flight lines where a
+matching pair exists. Bars and flights come from
+:func:`~repro.analysis.spacetime.phase_bars` and
+:func:`~repro.analysis.spacetime.obs_flights`, which the ASCII renderer
+reads too.
 
 Before layout the stream is passed through
 :func:`repro.obs.clock.align_events`, so an artifact collected across
@@ -26,12 +28,17 @@ import re
 from typing import Iterable
 from xml.sax.saxutils import escape
 
+from repro.analysis.spacetime import (
+    _ACTOR_RE,
+    lane_of,
+    obs_flights,
+    phase_bars,
+)
 from repro.obs.clock import align_events
 
-__all__ = ["lane_of", "phase_bars", "obs_flights",
-           "render_obs_spacetime_svg", "save_obs_spacetime_svg"]
+__all__ = ["render_obs_spacetime_svg", "save_obs_spacetime_svg"]
 
-# layout constants (pixels) — matches repro.analysis.svg
+# layout constants (pixels)
 _ROW_H = 38
 _MARGIN_L = 90
 _MARGIN_R = 20
@@ -59,16 +66,6 @@ PHASE_COLORS = {
     "recover": "#d62728",
 }
 
-_ACTOR_RE = re.compile(r"^p(\d+)(?:\.m(\d+))?$")
-
-
-def lane_of(actor: str) -> str:
-    """Timeline lane of an obs actor: every incarnation of a rank shares
-    the rank's lane (``p3`` and ``p3.m1`` → ``r3``); other actors (the
-    registry, shard daemons) keep their own."""
-    m = _ACTOR_RE.match(actor)
-    return f"r{m.group(1)}" if m else actor
-
 
 def _incarnation(actor: str) -> int:
     m = _ACTOR_RE.match(actor)
@@ -83,75 +80,6 @@ def _lane_order(lanes: Iterable[str]) -> list[str]:
             return (0, int(m.group(1)), lane)
         return (2 if lane == "registry" else 1, 0, lane)
     return sorted(set(lanes), key=key)
-
-
-def phase_bars(events: Iterable[dict]) -> list[dict]:
-    """Pair ``span_start``/``span_end`` records into drawable phase bars.
-
-    Pairing is FIFO per (actor, phase) — spans of one phase never nest
-    within an actor. An unmatched ``span_end`` (its start predates the
-    artifact window) reconstructs its start from ``seconds``; an
-    unmatched ``span_start`` (still open at collection) is dropped.
-    Returns ``{actor, phase, t0, t1, trace_id, aborted}`` dicts.
-    """
-    open_spans: dict[tuple[str, str], list[dict]] = {}
-    bars: list[dict] = []
-    for rec in sorted(events, key=lambda r: r.get("ts", 0.0)):
-        kind = rec.get("kind")
-        if kind == "span_start":
-            open_spans.setdefault(
-                (rec["actor"], rec["phase"]), []).append(rec)
-        elif kind == "span_end":
-            starts = open_spans.get((rec["actor"], rec["phase"]))
-            if starts:
-                t0 = starts.pop(0)["ts"]
-            else:
-                t0 = rec["ts"] - rec.get("seconds", 0.0)
-            bars.append({
-                "actor": rec["actor"],
-                "phase": rec["phase"],
-                "t0": t0,
-                "t1": rec["ts"],
-                "trace_id": rec.get("trace_id"),
-                "aborted": bool(rec.get("aborted", False)),
-            })
-    bars.sort(key=lambda b: (b["t0"], b["actor"], b["phase"]))
-    return bars
-
-
-def obs_flights(events: Iterable[dict],
-                max_flights: int = 400) -> list[dict]:
-    """Match sampled ``send``/``recv`` records into message flights.
-
-    A flight pairs a ``send`` on one lane with the earliest later
-    ``recv`` on the destination lane naming the sender (and the same
-    tag, when both carry one). Sampling means most records have no
-    partner — unmatched ones stay ticks in the diagram.
-    """
-    sends: dict[tuple, list[dict]] = {}
-    flights: list[dict] = []
-    for rec in sorted(events, key=lambda r: r.get("ts", 0.0)):
-        kind = rec.get("kind")
-        if kind == "send":
-            key = (lane_of(rec["actor"]), f"r{rec['dest']}",
-                   rec.get("tag"))
-            sends.setdefault(key, []).append(rec)
-        elif kind == "recv":
-            key = (f"r{rec['src']}", lane_of(rec["actor"]),
-                   rec.get("tag"))
-            queue = sends.get(key)
-            while queue:
-                send = queue.pop(0)
-                if send["ts"] <= rec["ts"]:
-                    flights.append({
-                        "src": key[0], "dst": key[1],
-                        "t_send": send["ts"], "t_recv": rec["ts"],
-                        "tag": rec.get("tag"),
-                    })
-                    break
-            if len(flights) >= max_flights:
-                break
-    return flights
 
 
 def render_obs_spacetime_svg(events: Iterable[dict],

@@ -151,7 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mg(args: argparse.Namespace) -> int:
-    from repro.analysis import render_spacetime
+    from repro.analysis import (
+        events_from_trace,
+        render_spacetime,
+        save_obs_spacetime_svg,
+    )
     from repro.experiments import run_mg_heterogeneous, run_mg_homogeneous
 
     if args.hetero:
@@ -173,26 +177,25 @@ def _cmd_mg(args: argparse.Namespace) -> int:
                                         for m in runs)]))
         res = runs["migration"]
         print(f"migration: {res.breakdown}")
-    if args.spacetime:
+    if args.spacetime or args.svg:
+        # both diagrams draw the lifted records of the migration window
+        # padded by twice its length on either side
+        events = events_from_trace(res.vm.trace)
         b = res.breakdown
         pad = 2.0 * (b.t_commit - b.t_start)
+        t0, t1 = max(0.0, b.t_start - pad), b.t_commit + pad
+    if args.spacetime:
         actors = [f"p{i}" for i in range(res.nranks)] + ["p0.m1"]
         print()
-        print(render_spacetime(res.vm.trace, actors=actors,
-                               t0=max(0.0, b.t_start - pad),
-                               t1=b.t_commit + pad, width=100))
+        print(render_spacetime(events, actors=actors, t0=t0, t1=t1,
+                               width=100))
     if args.save_trace:
         from repro.analysis import save_trace
         n = save_trace(res.vm.trace, args.save_trace)
         print(f"saved {n} trace events to {args.save_trace}")
     if args.svg:
-        from repro.analysis import save_spacetime_svg
-        b = res.breakdown
-        pad = 2.0 * (b.t_commit - b.t_start)
-        actors = [f"p{i}" for i in range(res.nranks)] + ["p0.m1"]
-        save_spacetime_svg(res.vm.trace, args.svg, actors=actors,
-                           t0=max(0.0, b.t_start - pad),
-                           t1=b.t_commit + pad)
+        save_obs_spacetime_svg([r for r in events if t0 <= r["ts"] <= t1],
+                               args.svg, title="sim space-time")
         print(f"wrote space-time diagram to {args.svg}")
     return 0
 

@@ -6,9 +6,10 @@ import pytest
 
 from repro.analysis import (
     app_progress_events,
+    events_from_trace,
     makespan,
-    message_flights,
     migration_breakdown,
+    obs_flights,
     render_spacetime,
 )
 from repro.sim import Trace
@@ -99,7 +100,8 @@ def test_spacetime_render_contains_rows_and_legend():
         clk.now = float(i)
         tr.record("p0", "snow_send", dest=1, tag=0, nbytes=10)
         tr.record("p1", "snow_recv", src=0, tag=0, nbytes=10, sent_at=clk.now)
-    out = render_spacetime(tr, actors=["p0", "p1"], width=40)
+    out = render_spacetime(events_from_trace(tr), actors=["p0", "p1"],
+                           width=40)
     assert "p0 |" in out and "p1 |" in out
     assert "legend" in out
     assert "s" in out.split("p0 |")[1]
@@ -107,8 +109,14 @@ def test_spacetime_render_contains_rows_and_legend():
 
 def test_spacetime_marks_migration_window():
     tr = _fake_migration_trace()
+    tr.record_at(1.0, "p0", "span_start", phase="freeze", rank=0)
+    tr.record_at(1.05, "p0", "span_end", phase="freeze", rank=0,
+                 seconds=0.05)
+    tr.record_at(1.05, "p0", "span_start", phase="reject", rank=0)
+    tr.record_at(1.65, "p0", "span_end", phase="reject", rank=0, seconds=0.6)
     tr.record_at(1.2, "p0", "snow_send", dest=1, tag=0, nbytes=1)
-    out = render_spacetime(tr, actors=["p0", "p0.m1"], width=60)
+    out = render_spacetime(events_from_trace(tr), actors=["p0", "p0.m1"],
+                           width=60)
     p0_row = out.split("p0 |")[1].splitlines()[0]
     assert "M" in p0_row
 
@@ -120,13 +128,16 @@ def test_message_flights_pairing():
     tr.record("p0", "snow_send", dest=1, tag=3, nbytes=100)
     clk.now = 1.5
     tr.record("p1", "snow_recv", src=0, tag=3, nbytes=100, sent_at=1.0)
-    flights = message_flights(tr)
+    flights = obs_flights(events_from_trace(tr))
     assert len(flights) == 1
     f = flights[0]
-    assert f.src == "p0" and f.dst == "p1"
-    assert f.t_send == 1.0 and f.t_recv == 1.5
+    assert f["src"] == "r0" and f["dst"] == "r1"
+    assert f["sender"] == "p0" and f["receiver"] == "p1"
+    assert f["t_send"] == 1.0 and f["t_recv"] == 1.5
+    assert f["tag"] == 3 and f["nbytes"] == 100
 
 
 def test_spacetime_empty_trace():
     tr = Trace(clock=_Clock())
-    assert render_spacetime(tr, actors=["p0"]) == "(no events)"
+    assert render_spacetime(events_from_trace(tr),
+                            actors=["p0"]) == "(no events)"

@@ -63,7 +63,10 @@ def test_mg_svg_output(tmp_path, capsys):
     assert main(["mg", "--n", "16", "--hetero", "--svg",
                  str(out_file)]) == 0
     import xml.etree.ElementTree as ET
-    ET.fromstring(out_file.read_text())
+    svg = out_file.read_text()
+    ET.fromstring(svg)
+    # the one obs renderer draws the cut window's bars and flights
+    assert 'class="phase-bar"' in svg and 'class="flight"' in svg
 
 
 def test_parser_obs_run_defaults():
@@ -223,6 +226,7 @@ def test_obs_svg_from_sim_trace(tmp_path, capsys):
     svg = out.read_text()
     ET.fromstring(svg)
     assert svg.count('class="phase-bar"') >= 6  # one full migration
+    assert 'class="flight"' in svg  # the lift keeps the sim's messages
 
 
 def test_obs_report_from_sim_trace(tmp_path, capsys):

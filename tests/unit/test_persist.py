@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import (
     dumps_trace,
+    events_from_trace,
     load_trace,
     loads_trace,
     migration_breakdown,
@@ -110,5 +111,6 @@ def test_saved_trace_supports_analysis(tmp_path):
     offline = migration_breakdown(reloaded, "p1", "p1.m1")
     assert offline.migrate == pytest.approx(live.migrate)
     assert offline.captured_messages == live.captured_messages
-    diagram = render_spacetime(reloaded, actors=["p0", "p1", "p1.m1"])
+    diagram = render_spacetime(events_from_trace(reloaded),
+                               actors=["p0", "p1", "p1.m1"])
     assert "M" in diagram and "I" in diagram

@@ -1,10 +1,18 @@
-"""Tests for the SVG space-time renderer."""
+"""Tests for the SVG space-time renderer on simulator traces.
+
+A sim run reaches the one SVG renderer the way every caller does: its
+trace is lifted into obs records with ``events_from_trace`` first.
+"""
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from repro.analysis import render_spacetime_svg, save_spacetime_svg
+from repro.analysis import (
+    events_from_trace,
+    render_obs_spacetime_svg,
+    save_obs_spacetime_svg,
+)
 from repro.sim import Trace
 
 
@@ -21,39 +29,48 @@ def _mk_trace():
     clk.now = 1.2
     tr.record("p1", "snow_recv", src=0, tag=0, nbytes=128, sent_at=1.0)
     clk.now = 2.0
-    tr.record("p0", "migration_start", rank=0)
+    tr.record("p0", "span_start", phase="freeze", rank=0)
+    clk.now = 2.1
+    tr.record("p0", "span_end", phase="freeze", rank=0, seconds=0.1)
+    tr.record("p0", "span_start", phase="reject", rank=0)
     clk.now = 2.5
-    tr.record("p0", "migration_source_done", total_seconds=0.5)
-    clk.now = 2.3
-    tr.record_at(2.3, "p0.m1", "init_start", rank=0)
-    tr.record_at(2.6, "p0.m1", "restore_done", seconds=0.1)
+    tr.record("p0", "span_end", phase="reject", rank=0, seconds=0.4)
+    tr.record_at(2.3, "p0.m1", "span_start", phase="restore", rank=0)
+    tr.record_at(2.6, "p0.m1", "span_end", phase="restore", rank=0,
+                 seconds=0.3)
     return tr
 
 
+def _svg(trace: Trace) -> str:
+    return render_obs_spacetime_svg(events_from_trace(trace))
+
+
 def test_svg_is_well_formed_xml():
-    svg = render_spacetime_svg(_mk_trace(), actors=["p0", "p1", "p0.m1"])
-    root = ET.fromstring(svg)
+    root = ET.fromstring(_svg(_mk_trace()))
     assert root.tag.endswith("svg")
 
 
 def test_svg_contains_rows_band_and_flight():
-    svg = render_spacetime_svg(_mk_trace(), actors=["p0", "p1", "p0.m1"])
-    assert ">p0<" in svg and ">p1<" in svg
-    assert "migrating" in svg       # tooltip on the migration band
-    assert "initializing" in svg
-    assert "message flight" in svg  # legend
-    assert "p0 → p1" in svg         # flight tooltip
+    svg = _svg(_mk_trace())
+    # one lane per rank: p0 and p0.m1 share r0
+    assert svg.count('class="lane"') == 2
+    assert ">r0<" in svg and ">r1<" in svg
+    # the source's freeze + reject bars, the destination's restore bar
+    assert svg.count('class="phase-bar"') == 3
+    assert "p0 reject" in svg and "p0.m1 restore" in svg
+    assert svg.count('class="flight"') == 1
+    assert "r0 → r1 tag=0" in svg   # flight tooltip
 
 
 def test_svg_empty_trace():
-    svg = render_spacetime_svg(Trace(), actors=["p0"])
+    svg = _svg(Trace())
     assert "(no events)" in svg
     ET.fromstring(svg)
 
 
 def test_save_svg(tmp_path):
     path = tmp_path / "diagram.svg"
-    save_spacetime_svg(_mk_trace(), path, actors=["p0", "p1"])
+    save_obs_spacetime_svg(events_from_trace(_mk_trace()), path)
     text = path.read_text()
     assert text.startswith("<svg")
     ET.fromstring(text)
@@ -83,10 +100,12 @@ def test_svg_from_real_migration_run(tmp_path):
     app.start()
     app.migrate_at(0.015, rank=1, dest_host="h3")
     app.run()
-    svg = render_spacetime_svg(vm.trace, actors=["p0", "p1", "p1.m1"])
+    svg = _svg(vm.trace)
     vm.shutdown()
     ET.fromstring(svg)
-    assert "migrating" in svg and "initializing" in svg
-    # ticks for sends and dots for recvs exist
-    assert svg.count("<circle") > 5
-    assert "stroke-width=\"1.5\"" in svg
+    for bar in ("p1 freeze", "p1 reject", "p1.m1 restore", "p1.m1 commit"):
+        assert bar in svg
+    # every message is a flight, a send tick and a recv dot
+    assert svg.count('class="flight"') == 12
+    assert svg.count("<circle") == 12
+    assert svg.count('stroke-width="1.5"') == 12
